@@ -182,8 +182,9 @@ type Options struct {
 	// direction (review the quarantine, never the leak).
 	Strict bool
 	// Metrics, when set, wires the pipeline into a shared observability
-	// registry: the engine flushes its counters at file boundaries, the
-	// batch layer counts outcomes, and CorpusResult.Report carries the
+	// registry: the engine books its counters into the registry at file
+	// boundaries and the registry reads them when scraped, the batch
+	// layer counts outcomes, and CorpusResult.Report carries the
 	// flattened snapshot. Nil disables all metric plumbing (the engine
 	// hot path is untouched either way; see DESIGN.md §3d).
 	Metrics *MetricsRegistry

@@ -73,7 +73,7 @@ type Anonymizer struct {
 
 	// stats is the worker-local cumulative record; synced is its state at
 	// the last flush, so flush applies only the signed delta to the
-	// Session (and registry).
+	// Session (and the wired registry's book).
 	stats  Stats
 	synced Stats
 
@@ -82,12 +82,10 @@ type Anonymizer struct {
 	lineHits []int
 	ctx      lineCtx
 
-	// metrics is the optional shared registry this engine flushes into
-	// at file boundaries (metrics.go); nil means no registry wired.
-	// bytesIn/bytesOut accumulate streaming throughput for the flush
-	// (not part of Stats: they measure I/O work done, so they are not
-	// rolled back with a failed file's counters).
-	metrics  *engineMetrics
+	// bytesIn/bytesOut accumulate streaming throughput until the next
+	// flush moves them into a wired registry's book (not part of Stats:
+	// they measure I/O work done, so they are not rolled back with a
+	// failed file's counters).
 	bytesIn  int64
 	bytesOut int64
 

@@ -66,7 +66,7 @@ func (a *Anonymizer) recoverFile(name string, snap Stats, ferr **FileError) {
 // rollback restores a pre-file statistics snapshot and clears the
 // engine's per-line scratch, so an aborted file leaves the batch totals
 // describing only files that completed. The Session (and a wired
-// metrics registry) is reconciled immediately: the flush after a
+// registry's book) is reconciled immediately: the flush after a
 // restore emits negative deltas, backing the aborted file's partial
 // counts out of the shared totals so they keep tracking Stats exactly.
 // The buffered provenance decisions are discarded with the counters —

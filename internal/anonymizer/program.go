@@ -105,6 +105,10 @@ func (p *Program) Packs() []rulepack.Meta {
 // CacheHits reports how many regexp rewrites were answered from the memo.
 func (p *Program) CacheHits() int64 { return p.cacheHits.Load() }
 
+// CycleWalks reports how many cycle-walking steps the Program's ASN
+// permutation has taken (§4.4).
+func (p *Program) CycleWalks() int64 { return p.perms.ASN.CycleWalks() }
+
 // CacheMisses reports how many regexp rewrites were computed (one per
 // distinct pattern per kind).
 func (p *Program) CacheMisses() int64 { return p.cacheMisses.Load() }

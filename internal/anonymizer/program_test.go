@@ -1,9 +1,12 @@
 package anonymizer
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"confanon/internal/metrics"
 )
@@ -72,6 +75,93 @@ func TestProgramRewriteCacheSingleflight(t *testing.T) {
 	if strings.Contains(out, "701") {
 		t.Errorf("public ASN survives in rewritten output:\n%s", out)
 	}
+}
+
+// TestSessionMetricsBookProgramWideOnce pins the one-book contract for
+// a registry shared by several Sessions of one Program: the Program-wide
+// series (rewrite memo, ASN cycle walks) equal the Program's own
+// counters — read once per Program, not re-booked from zero by every
+// Session — while the Stats-backed series equal the sum of the
+// Sessions' Stats.
+func TestSessionMetricsBookProgramWideOnce(t *testing.T) {
+	reg := metrics.NewRegistry()
+	prog := Compile(Options{Salt: []byte("one-book")})
+	var b strings.Builder
+	b.WriteString("ip as-path access-list 5 permit _701_\nrouter bgp 701\n")
+	for i := 0; i < 64; i++ {
+		fmt.Fprintf(&b, " neighbor 10.0.0.%d remote-as %d\n", i+1, 1000+i)
+	}
+	text := b.String()
+
+	const sessions = 3
+	var sum Stats
+	for i := 0; i < sessions; i++ {
+		sess := prog.NewSession()
+		sess.SetMetrics(reg)
+		w := sess.Acquire()
+		w.AnonymizeText(text)
+		sess.Release(w)
+		sum.Add(sess.Stats())
+	}
+	if prog.CacheMisses() != 1 || prog.CacheHits() != sessions-1 {
+		t.Fatalf("fixture: memo misses/hits = %d/%d, want 1/%d", prog.CacheMisses(), prog.CacheHits(), sessions-1)
+	}
+	if prog.CycleWalks() == 0 {
+		t.Fatal("fixture: no ASN map cycle-walked")
+	}
+
+	counters := reg.Counters()
+	for name, want := range map[string]int64{
+		"confanon_cregex_cache_hits_total":   prog.CacheHits(),
+		"confanon_cregex_cache_misses_total": prog.CacheMisses(),
+		"confanon_asn_cycle_walks_total":     prog.CycleWalks(),
+	} {
+		if got := counters[name]; got != float64(want) {
+			t.Errorf("%s = %v, want %d (the Program's own count)", name, got, want)
+		}
+	}
+	for _, sc := range statScalars {
+		if got, want := counters[sc.name], *sc.field(&sum); got != float64(want) {
+			t.Errorf("%s = %v, want %d (sum of Session Stats)", sc.name, got, want)
+		}
+	}
+	for id, n := range sum.RuleHits() {
+		series := `confanon_rule_hits_total{rule="` + string(id) + `"}`
+		if got := counters[series]; got != float64(n) {
+			t.Errorf("%s = %v, want %d (sum of Session Stats)", series, got, n)
+		}
+	}
+}
+
+// TestSessionMetricsRegistryDoesNotRetainSessions: wiring a Session to a
+// registry leaves it collectable — a long-lived registry sampled by a
+// service must not pin every Session that ever flushed into it.
+func TestSessionMetricsRegistryDoesNotRetainSessions(t *testing.T) {
+	reg := metrics.NewRegistry()
+	prog := Compile(Options{Salt: []byte("no-retention")})
+	collected := make(chan struct{})
+	var entries int64
+	func() {
+		sess := prog.NewSession()
+		sess.SetMetrics(reg)
+		w := sess.Acquire()
+		w.AnonymizeText("interface Serial0\n ip address 12.1.2.3 255.255.255.0\n")
+		sess.Release(w)
+		entries, _ = sess.MapperCounts()
+		runtime.SetFinalizer(sess, func(*Session) { close(collected) })
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if got := reg.Counters()["confanon_ipmap_entries_total"]; got != float64(entries) {
+				t.Errorf("ipmap entries = %v after the Session was collected, want %d", got, entries)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a Session wired to a live registry was never collected")
 }
 
 // TestSessionWorkersShareMapping: workers of one Session anonymizing

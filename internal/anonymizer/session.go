@@ -57,8 +57,12 @@ type Session struct {
 	ipOuts    map[uint32]bool
 	ipOutsLen int
 
-	reg *metrics.Registry
-	met *sessionMetrics
+	// book is the wired registry's engine accumulator (SetMetrics; nil =
+	// unwired). bookedIPs and bookedRemaps are the mapper totals this
+	// Session has already added to it (bookMapper).
+	book         *book
+	bookedIPs    atomic.Int64
+	bookedRemaps atomic.Int64
 
 	// tracer is the span/ledger recorder every worker of this Session
 	// writes into (copied from Options.Tracer at NewSession; nil =
@@ -89,25 +93,6 @@ type Session struct {
 type LedgerSink interface {
 	Append(recs ...store.Record) error
 	Commit() error
-}
-
-// sessionMetrics holds the session-level instruments that reconcile
-// shared cumulative sources (the mapper, the permutations, the rewrite
-// cache) into registry counters. The baselines are session-held and
-// mutex-guarded because many workers flush against the same sources.
-type sessionMetrics struct {
-	mu        sync.Mutex
-	ipEntries *metrics.Counter
-	ipRemaps  *metrics.Counter
-	asnWalks  *metrics.Counter
-	cacheHit  *metrics.Counter
-	cacheMiss *metrics.Counter
-
-	baseIPLen  int64
-	baseRemaps int64
-	baseWalks  int64
-	baseHits   int64
-	baseMisses int64
 }
 
 // NewSession creates a Session with a fresh IP mapping (shaped tree, or
@@ -174,7 +159,7 @@ func (s *Session) Release(a *Anonymizer) {
 func (s *Session) Bind() *Anonymizer { return s.Acquire() }
 
 func (s *Session) newWorker() *Anonymizer {
-	a := &Anonymizer{
+	return &Anonymizer{
 		prog:            s.prog,
 		sess:            s,
 		opts:            s.prog.opts,
@@ -189,65 +174,56 @@ func (s *Session) newWorker() *Anonymizer {
 		sensitiveTokens: *s.sensTok.Load(),
 		tracer:          s.tracer,
 	}
-	if s.reg != nil {
-		a.metrics = newEngineMetrics(s.reg)
-	}
-	return a
 }
 
 // Stats returns a consistent snapshot of the merged statistics.
 func (s *Session) Stats() Stats { return s.stats.snapshotAtomic() }
 
-// SetMetrics wires a shared registry into the Session: workers created
-// afterwards flush their counters into it, and the session-level gauges
-// (mapper size, remaps, permutation walks, rewrite-cache hits) register
-// immediately. A nil registry unwires future workers.
+// SetMetrics wires the Session to a shared registry: from now on every
+// worker flush also adds its Stats delta to the registry's book, which
+// the registry samples when it is scraped (metrics.go). The registry
+// keeps no reference to the Session. A nil registry unwires.
 func (s *Session) SetMetrics(reg *metrics.Registry) {
-	s.reg = reg
-	if reg == nil {
-		s.met = nil
-		return
+	var b *book
+	if reg != nil {
+		b = bookFor(reg)
+		b.wire(s.prog)
 	}
-	m := &sessionMetrics{}
-	m.ipEntries = reg.Counter("confanon_ipmap_entries_total", "distinct addresses resolved by the IP mapping")
-	m.ipRemaps = reg.Counter("confanon_ipmap_remaps_total", "IP collision-chase steps (§4.3 special-range remapping)")
-	m.asnWalks = reg.Counter("confanon_asn_cycle_walks_total", "ASN permutation cycle-walking steps (§4.4)")
-	m.cacheHit = reg.Counter("confanon_cregex_cache_hits_total", "regexp rewrites answered from the compiled Program's memo")
-	m.cacheMiss = reg.Counter("confanon_cregex_cache_misses_total", "regexp rewrites computed and memoized by the compiled Program")
-	s.met = m
+	if b != s.book {
+		// A different book has booked none of this Session's mapper.
+		s.bookedIPs.Store(0)
+		s.bookedRemaps.Store(0)
+	}
+	s.book = b
 }
 
-// flushGauges reconciles the shared cumulative sources — mapper entries
-// and remaps, permutation cycle walks, rewrite-cache hits — into the
-// registry. Session-level (one baseline, mutex-guarded) because the
-// sources are shared by every worker.
-func (s *Session) flushGauges() {
-	m := s.met
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// MapperCounts reports the Session's IP mapping size (distinct addresses
+// resolved) and its collision-chase remap count.
+func (s *Session) MapperCounts() (entries, remaps int64) {
 	ip := s.mapper()
-	if d := int64(ip.Len()) - m.baseIPLen; d != 0 {
-		m.ipEntries.Add(d)
-		m.baseIPLen += d
-	}
-	if d := ip.Remaps() - m.baseRemaps; d != 0 {
-		m.ipRemaps.Add(d)
-		m.baseRemaps += d
-	}
-	if d := s.prog.perms.ASN.CycleWalks() - m.baseWalks; d != 0 {
-		m.asnWalks.Add(d)
-		m.baseWalks += d
-	}
-	if d := s.prog.CacheHits() - m.baseHits; d != 0 {
-		m.cacheHit.Add(d)
-		m.baseHits += d
-	}
-	if d := s.prog.CacheMisses() - m.baseMisses; d != 0 {
-		m.cacheMiss.Add(d)
-		m.baseMisses += d
+	return int64(ip.Len()), ip.Remaps()
+}
+
+// bookMapper advances the book by the mapper's growth since this Session
+// last booked it. The booked marks only move forward, so workers of one
+// Session flushing concurrently book each entry exactly once.
+func (s *Session) bookMapper(b *book) {
+	entries, remaps := s.MapperCounts()
+	b.ipEntries.Add(advance(&s.bookedIPs, entries))
+	b.ipRemaps.Add(advance(&s.bookedRemaps, remaps))
+}
+
+// advance raises mark to n and returns by how much (0 when mark is
+// already at or past n).
+func advance(mark *atomic.Int64, n int64) int64 {
+	for {
+		old := mark.Load()
+		if n <= old {
+			return 0
+		}
+		if mark.CompareAndSwap(old, n) {
+			return n - old
+		}
 	}
 }
 
@@ -410,8 +386,7 @@ func (s *Session) RestoreState(st store.State) error {
 // SaveMapping serializes the complete mutable Session state — the IP
 // mapping in insertion order, the leak-recorder maps, the sensitive
 // tokens, the declared relations — as a versioned confanon.mapping/v1
-// blob. An empty session snapshots nil. (Earlier releases saved a
-// tree-only "ipa1" binary; LoadMapping still accepts those.)
+// blob. An empty session snapshots nil.
 func (s *Session) SaveMapping() []byte {
 	st := s.CaptureState()
 	if st.Empty() {
@@ -426,33 +401,24 @@ func (s *Session) SaveMapping() []byte {
 	return blob
 }
 
-// LoadMapping restores a SaveMapping snapshot — either the current
-// confanon.mapping/v1 state capture or a legacy tree-only "ipa1" blob.
-// Call before any anonymization, with the same salt: the replayed pairs
-// are verified against this Session's mapping, so a wrong-salt snapshot
-// is rejected, not silently diverged from.
+// LoadMapping restores a SaveMapping snapshot. Call before any
+// anonymization, with the same salt: the blob's salt fingerprint and
+// every replayed pair are checked against this Session, so a wrong-salt
+// snapshot is rejected, not silently diverged from. Anything that is not
+// a confanon.mapping/v1 blob — including the tree-only format of earlier
+// releases — fails with an error wrapping store.ErrSchema.
 func (s *Session) LoadMapping(snapshot []byte) error {
 	if len(snapshot) == 0 {
 		return nil
 	}
-	if store.IsStateBlob(snapshot) {
-		st, fp, err := store.DecodeState(snapshot)
-		if err != nil {
-			return err
-		}
-		if fp != "" && fp != s.saltFP() {
-			return fmt.Errorf("anonymizer: %w", store.ErrSaltMismatch)
-		}
-		return s.RestoreState(st)
-	}
-	t, err := ipanon.Load(snapshot)
+	st, fp, err := store.DecodeState(snapshot)
 	if err != nil {
 		return err
 	}
-	s.ipMu.Lock()
-	s.ip = t
-	s.ipMu.Unlock()
-	return nil
+	if fp != "" && fp != s.saltFP() {
+		return fmt.Errorf("anonymizer: %w", store.ErrSaltMismatch)
+	}
+	return s.RestoreState(st)
 }
 
 // SetLedger attaches a durable mapping ledger: from now on every clean

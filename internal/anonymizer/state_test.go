@@ -1,6 +1,7 @@
 package anonymizer
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -84,6 +85,23 @@ func TestSaveMappingRoundTripsFullState(t *testing.T) {
 	if got != want {
 		t.Errorf("restored session diverged on follow-up output:\n got %q\nwant %q", got, want)
 	}
+
+	// An address first mapped after the restore is prefix-consistent
+	// with every restored one: the images share exactly as long a
+	// prefix as the originals.
+	novel := uint32(0x01010180) // 1.1.1.128, in a restored subnet
+	restored := s2.IPMapping()
+	for _, p := range restored {
+		if p.In == novel {
+			t.Fatalf("fixture: %08x is already mapped", novel)
+		}
+	}
+	img := s2.mapper().MapV4(novel)
+	for _, p := range restored {
+		if ipanon.LCP(p.Out, img) != ipanon.LCP(p.In, novel) {
+			t.Errorf("novel %08x -> %08x breaks prefix consistency with restored %v", novel, img, p)
+		}
+	}
 }
 
 func TestSaveMappingRoundTripsLeakGating(t *testing.T) {
@@ -112,21 +130,28 @@ func TestSaveMappingRoundTripsLeakGating(t *testing.T) {
 	}
 }
 
-func TestLoadMappingAcceptsLegacyBlob(t *testing.T) {
+// TestLoadMappingRejectsLegacyBlob: the tree-only "ipa1" snapshot of
+// earlier releases stored its salt in cleartext and was replayed under
+// that embedded salt, never compared with the Session's. It is refused
+// like any other non-v1 blob, whatever the Session's salt or IP scheme,
+// and leaves the Session's mapping empty.
+func TestLoadMappingRejectsLegacyBlob(t *testing.T) {
 	salt := []byte("legacy-salt")
-	tree := ipanon.NewTree(ipanon.DefaultOptions(salt))
-	tree.MapV4(0x01010101)
-	tree.MapV4(0x02020202)
-	legacy := tree.Save()
-	if store.IsStateBlob(legacy) {
-		t.Fatalf("fixture: legacy blob sniffed as state blob")
-	}
-	a := New(Options{Salt: salt})
-	if err := a.LoadMapping(legacy); err != nil {
-		t.Fatalf("LoadMapping(legacy): %v", err)
-	}
-	if got, want := a.MapIP(0x01010101), tree.MapV4(0x01010101); got != want {
-		t.Errorf("legacy mapping not honored: got %08x want %08x", got, want)
+	// "ipa1", option flags, salt length, salt, pair count, (in, out) pairs.
+	legacy := append([]byte("ipa1\x07"), byte(len(salt)))
+	legacy = append(legacy, salt...)
+	legacy = append(legacy, 0, 0, 0, 1, 1, 1, 1, 1, 0x2a, 0x2b, 0x2c, 0x2d)
+	for _, opts := range []Options{
+		{Salt: salt},
+		{Salt: []byte("another-salt"), StatelessIP: true},
+	} {
+		a := New(opts)
+		if err := a.LoadMapping(legacy); !errors.Is(err, store.ErrSchema) {
+			t.Errorf("LoadMapping(ipa1) with salt %q = %v, want an error wrapping store.ErrSchema", opts.Salt, err)
+		}
+		if n, _ := a.Session().MapperCounts(); n != 0 {
+			t.Errorf("rejected blob left %d IP pairs in the Session", n)
+		}
 	}
 }
 

@@ -144,7 +144,7 @@ func (s *Stats) Add(other Stats) {
 }
 
 // diff returns s minus base, field by field — the signed delta a worker
-// flush applies to its Session and registry. The field list mirrors Add
+// flush applies to its Session and its registry's book. The field list mirrors Add
 // (and is covered by the same reflection completeness test).
 func (s Stats) diff(base Stats) Stats {
 	d := Stats{

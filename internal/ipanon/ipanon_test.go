@@ -234,57 +234,6 @@ func TestTreeMapPrefix(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	tr := newTestTree()
-	rng := rand.New(rand.NewSource(23))
-	var addrs []uint32
-	// Deliberately interleave host and subnet addresses so the
-	// order-dependent shaping is exercised.
-	for i := 0; i < 300; i++ {
-		a := rng.Uint32()
-		addrs = append(addrs, a, a&0xFFFFFF00)
-	}
-	want := make(map[uint32]uint32)
-	for _, a := range addrs {
-		want[a] = tr.MapV4(a)
-	}
-	snap := tr.Save()
-	tr2, err := Load(snap)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	for a, w := range want {
-		if got := tr2.MapV4(a); got != w {
-			t.Fatalf("reloaded tree maps %s to %s, want %s",
-				token.FormatIPv4(a), token.FormatIPv4(got), token.FormatIPv4(w))
-		}
-	}
-	// New addresses after reload must still be prefix-consistent with
-	// the old ones.
-	novel := uint32(0x0A0B0C0D)
-	o1, o2 := tr.MapV4(novel), tr2.MapV4(novel)
-	if o1 != o2 {
-		t.Errorf("novel address diverged after reload: %s vs %s",
-			token.FormatIPv4(o1), token.FormatIPv4(o2))
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	for _, snap := range [][]byte{nil, []byte("xx"), []byte("ipa1"), []byte("nope56789012345")} {
-		if _, err := Load(snap); err == nil {
-			t.Errorf("Load(%q) accepted garbage", snap)
-		}
-	}
-	// Corrupt a valid snapshot's mapping bytes.
-	tr := newTestTree()
-	tr.MapV4(0x0A000001)
-	snap := tr.Save()
-	snap[len(snap)-1] ^= 0xFF
-	if _, err := Load(snap); err == nil {
-		t.Error("Load accepted corrupted mapping")
-	}
-}
-
 func TestCryptoPAnPrefixPreserving(t *testing.T) {
 	var key [32]byte
 	copy(key[:], "this-is-a-32-byte-test-key-....!")

@@ -142,7 +142,12 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, lbl(), s.g.Value())
 		return err
 	case s.fn != nil:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, lbl(), formatFloat(s.fn()))
+		v := s.fn()
+		text := formatFloat(v)
+		if f.typ == typeCounter {
+			text = strconv.FormatFloat(v, 'f', -1, 64) // integers, like Counter series
+		}
+		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, lbl(), text)
 		return err
 	case s.h != nil:
 		cum := int64(0)

@@ -8,8 +8,9 @@
 //
 //   - Hot-path cost. Counter.Add is one atomic add; Histogram.Observe is
 //     a branch-free bucket walk plus two atomic adds and a CAS loop for
-//     the float sum. The engine flushes counter deltas at file
-//     granularity, so even those costs are off the per-line path.
+//     the float sum. Counts another layer already keeps are registered
+//     as sampled series (CounterFunc, GaugeFunc) and read only when the
+//     registry is exposed, so they cost nothing while nobody looks.
 //   - Concurrency. Every instrument is safe for concurrent use; a single
 //     Registry can be shared by all workers of a parallel corpus run and
 //     the counts merge by construction, with no gather step.
@@ -145,13 +146,13 @@ const (
 )
 
 // series is one labeled instance within a family: exactly one of the
-// instrument pointers is set, matching the family type.
+// instrument pointers (or the sampling function) is set.
 type series struct {
 	labelVals []string
 	c         *Counter
 	g         *Gauge
 	h         *Histogram
-	fn        func() float64 // sampled gauge
+	fn        func() float64 // sampled gauge or counter
 }
 
 // family is all series sharing one metric name.
@@ -216,11 +217,14 @@ func joinVals(vals []string) string {
 type Registry struct {
 	mu   sync.RWMutex
 	fams map[string]*family
+
+	sharedMu sync.Mutex
+	shared   map[any]any // Shared values, keyed by the caller's key
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{fams: make(map[string]*family)}
+	return &Registry{fams: make(map[string]*family), shared: make(map[any]any)}
 }
 
 // familyFor finds or creates the named family, enforcing that repeated
@@ -270,11 +274,38 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // exposition time (for sizes held elsewhere, e.g. the IP-mapping table).
 // Re-registering the same name replaces the sampling function.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.familyFor(name, help, typeGauge, nil, nil)
-	s := f.getOrCreate(nil, func() *series { return &series{} })
+	r.familyFor(name, help, typeGauge, nil, nil).setFunc(nil, fn)
+}
+
+// CounterFunc registers a counter whose value is sampled by calling fn
+// at exposition time, for counts another layer already keeps (the
+// engine's Stats book): the registry reads them instead of having them
+// pushed. Re-registering the same name replaces the sampling function.
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	r.familyFor(name, help, typeCounter, nil, nil).setFunc(nil, fn)
+}
+
+// setFunc installs fn as the sampling function of one series.
+func (f *family) setFunc(vals []string, fn func() float64) {
+	s := f.getOrCreate(vals, func() *series { return &series{} })
 	f.mu.Lock()
 	s.fn = fn
 	f.mu.Unlock()
+}
+
+// Shared returns the value the registry holds under key, storing mk()
+// first if there is none. It lets a layer keep exactly one accumulator
+// per registry behind its sampled series without a process-global
+// table; mk runs at most once per key and may register instruments.
+func (r *Registry) Shared(key any, mk func() any) any {
+	r.sharedMu.Lock()
+	defer r.sharedMu.Unlock()
+	v, ok := r.shared[key]
+	if !ok {
+		v = mk()
+		r.shared[key] = v
+	}
+	return v
 }
 
 // Histogram returns the unlabeled histogram name with the given bucket
@@ -305,6 +336,13 @@ func (r *Registry) CounterVec(name, help string, labelKeys ...string) *CounterVe
 func (v *CounterVec) With(labelVals ...string) *Counter {
 	v.f.checkArity(labelVals)
 	return v.f.getOrCreate(labelVals, func() *series { return &series{c: &Counter{}} }).c
+}
+
+// WithFunc registers the series for one combination of label values as
+// sampled: fn is called at exposition time (see CounterFunc).
+func (v *CounterVec) WithFunc(fn func() float64, labelVals ...string) {
+	v.f.checkArity(labelVals)
+	v.f.setFunc(labelVals, fn)
 }
 
 // GaugeVec is a gauge family with label dimensions.

@@ -93,9 +93,52 @@ func TestGaugeFunc(t *testing.T) {
 	r := NewRegistry()
 	n := 41.0
 	r.GaugeFunc("size", "sampled", func() float64 { return n })
+	r.CounterFunc("seen_total", "sampled", func() float64 { return 2 * n })
+	r.CounterVec("by_rule_total", "sampled", "rule").WithFunc(func() float64 { return 3 * n }, "R1")
 	n = 42
-	if got := r.Counters()["size"]; got != 42 {
-		t.Fatalf("GaugeFunc sampled %v, want 42", got)
+	for id, want := range map[string]float64{"size": 42, "seen_total": 84, `by_rule_total{rule="R1"}`: 126} {
+		if got := r.Counters()[id]; got != want {
+			t.Errorf("%s sampled %v, want %v", id, got, want)
+		}
+	}
+	// Sampled counters keep the counter type and print as integers.
+	n = 1e6
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# TYPE seen_total counter", "seen_total 2000000\n", `by_rule_total{rule="R1"} 3000000` + "\n"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q in:\n%s", want, b.String())
+		}
+	}
+}
+
+func TestSharedCreatesOncePerKey(t *testing.T) {
+	r := NewRegistry()
+	type key struct{}
+	calls := 0
+	mk := func() any { calls++; return r.Counter("made_total", "") }
+	var wg sync.WaitGroup
+	got := make([]any, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = r.Shared(key{}, mk)
+		}(i)
+	}
+	wg.Wait()
+	if calls != 1 {
+		t.Errorf("mk ran %d times, want 1", calls)
+	}
+	for i := range got {
+		if got[i] != got[0] {
+			t.Fatalf("Shared returned different values for one key")
+		}
+	}
+	if other := r.Shared("another key", func() any { return 7 }); other != 7 {
+		t.Errorf("Shared under a second key = %v, want 7", other)
 	}
 }
 

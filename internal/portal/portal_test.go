@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,7 +16,7 @@ import (
 
 func newTestPortal() (*Store, *httptest.Server) {
 	s := NewStore()
-	s.SetLogger(log.New(io.Discard, "", 0))
+	s.SetSlogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
 	s.AddResearcher("key-alice", "alice")
 	srv := httptest.NewServer(s.Handler())
 	return s, srv

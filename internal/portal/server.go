@@ -12,12 +12,9 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
-	"fmt"
-	"log"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
-	"strings"
 	"time"
 )
 
@@ -65,21 +62,12 @@ func WithRequestID(h http.Handler) http.Handler {
 	})
 }
 
-// WithLogging logs one structured line per request: request id, owner
-// (the authenticated principal's role, when the store middleware
-// resolves one), route, status, duration, and remote address. Never the
+// withLogging logs one structured line per request: request id, owner
+// (the authenticated principal's role, when principal is non-nil; "-"
+// otherwise), route, status, duration, and remote address. Never the
 // X-API-Key header or an owner token — query strings are deliberately
 // omitted because owner tokens travel there.
-//
-// The *log.Logger form is the compatibility shim around the slog-based
-// implementation; new callers wire a *slog.Logger via Store.SetSlogger.
-func WithLogging(logger *log.Logger, h http.Handler) http.Handler {
-	return withSlogLogging(shimSlog(logger), nil, h)
-}
-
-// withSlogLogging is the structured request log. principal, when
-// non-nil, names the request's authenticated party ("-" for anonymous).
-func withSlogLogging(logger *slog.Logger, principal func(*http.Request) string, h http.Handler) http.Handler {
+func withLogging(logger *slog.Logger, principal func(*http.Request) string, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
@@ -101,17 +89,11 @@ func withSlogLogging(logger *slog.Logger, principal func(*http.Request) string, 
 	})
 }
 
-// WithRecovery converts a handler panic into a logged 500 response, so
+// withRecovery converts a handler panic into a logged 500 response, so
 // one malformed request cannot crash the portal or leave the client with
 // a severed connection and no status. http.ErrAbortHandler keeps its
 // special meaning and is re-panicked.
-//
-// Like WithLogging, the *log.Logger form shims onto the slog core.
-func WithRecovery(logger *log.Logger, h http.Handler) http.Handler {
-	return withSlogRecovery(shimSlog(logger), h)
-}
-
-func withSlogRecovery(logger *slog.Logger, h http.Handler) http.Handler {
+func withRecovery(logger *slog.Logger, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if v := recover(); v != nil {
@@ -129,48 +111,6 @@ func withSlogRecovery(logger *slog.Logger, h http.Handler) http.Handler {
 		h.ServeHTTP(w, r)
 	})
 }
-
-// shimSlog adapts a legacy *log.Logger into a slog.Logger so the
-// compatibility entry points (SetLogger, the exported middleware forms)
-// feed the same structured core. Lines render as "msg k=v ..." through
-// the wrapped logger, preserving its prefix and flags.
-func shimSlog(l *log.Logger) *slog.Logger {
-	if l == nil {
-		return slog.Default()
-	}
-	return slog.New(&logShim{l: l})
-}
-
-// logShim is the slog.Handler behind shimSlog. It keeps no state beyond
-// WithAttrs accumulation and is safe for concurrent use (the wrapped
-// log.Logger serializes output).
-type logShim struct {
-	l     *log.Logger
-	attrs []slog.Attr
-}
-
-func (h *logShim) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h *logShim) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	emit := func(a slog.Attr) bool {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-		return true
-	}
-	for _, a := range h.attrs {
-		emit(a)
-	}
-	r.Attrs(emit)
-	h.l.Print(b.String())
-	return nil
-}
-
-func (h *logShim) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return &logShim{l: h.l, attrs: append(append([]slog.Attr(nil), h.attrs...), attrs...)}
-}
-
-func (h *logShim) WithGroup(string) slog.Handler { return h }
 
 // NewServer returns an http.Server for the portal with every connection
 // phase bounded: a peer that stalls on headers, body, response read, or

@@ -782,8 +782,7 @@ func EncodeState(s *State, saltFP string) ([]byte, error) {
 	return buf, nil
 }
 
-// IsStateBlob sniffs whether a snapshot was written by EncodeState (as
-// opposed to a legacy format a caller may fall back to).
+// IsStateBlob sniffs whether a snapshot was written by EncodeState.
 func IsStateBlob(blob []byte) bool {
 	if len(blob) == 0 || blob[0] != '{' {
 		return false

@@ -44,13 +44,15 @@ func readGoldenDir(t *testing.T, dir string) map[string]string {
 // numbers the RunReport carries.
 
 // checkStatsCounters asserts the registry's engine counters equal the
-// accumulated Stats, series for series.
-func checkStatsCounters(t *testing.T, counters map[string]float64, s Stats) {
+// accumulated Stats, series for series. Given the Anonymizer that ran,
+// it also checks the series read from its IP mapper and its Program.
+func checkStatsCounters(t *testing.T, counters map[string]float64, s Stats, src ...*Anonymizer) {
 	t.Helper()
-	for _, c := range []struct {
+	type row struct {
 		name string
 		want int64
-	}{
+	}
+	rows := []row{
 		{"confanon_files_processed_total", s.Files},
 		{"confanon_lines_total", s.Lines},
 		{"confanon_words_total", s.WordsTotal},
@@ -64,7 +66,15 @@ func checkStatsCounters(t *testing.T, counters map[string]float64, s Stats) {
 		{"confanon_regexps_rewritten_total", s.RegexpsRewritten},
 		{"confanon_regexps_unchanged_total", s.RegexpsUnchanged},
 		{"confanon_regexp_fallbacks_total", s.RegexpFallbacks},
-	} {
+	}
+	for _, a := range src {
+		entries, remaps, walks := a.MapperSources()
+		rows = append(rows,
+			row{"confanon_ipmap_entries_total", entries},
+			row{"confanon_ipmap_remaps_total", remaps},
+			row{"confanon_asn_cycle_walks_total", walks})
+	}
+	for _, c := range rows {
 		if got := counters[c.name]; got != float64(c.want) {
 			t.Errorf("%s = %v, want %d (Stats)", c.name, got, c.want)
 		}
@@ -90,7 +100,7 @@ func TestMetricsMatchCorpusSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	counters := reg.Counters()
-	checkStatsCounters(t, counters, res.Stats)
+	checkStatsCounters(t, counters, res.Stats, a)
 	if got := counters[`confanon_batch_files_total{status="ok"}`]; got != float64(res.Report.FilesOK) {
 		t.Errorf("batch ok counter = %v, want %d", got, res.Report.FilesOK)
 	}
