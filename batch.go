@@ -15,16 +15,18 @@ import (
 	"confanon/internal/trace"
 )
 
-// This file is the fail-closed batch layer. The string-returning APIs
-// (File, Corpus, ParallelCorpus) are fail-open: a panic on one poisoned
-// file kills the whole batch, and a leak in the output is published
-// unless the operator reads the report. The *Context APIs below invert
-// both defaults: every file is processed under per-file panic recovery
-// (one bad file yields one FileError, the rest of the corpus completes),
-// cancellation and deadlines flow in through context.Context, and under
-// Options.Strict a file whose post-anonymization leak report contains
-// confirmed (non-false-positive) leaks is quarantined — recorded,
-// withheld from the outputs, never silently published.
+// This file is the fail-closed batch layer. The *Context APIs below
+// process every file under per-file panic recovery (one bad file yields
+// one FileError, the rest of the corpus completes), take cancellation
+// and deadlines through context.Context, and under Options.Strict
+// quarantine a file whose post-anonymization leak report contains
+// confirmed (non-false-positive) leaks — recorded, withheld from the
+// outputs, never silently published. Every whole-corpus entry point
+// runs on one driver (pipeline), so which files are withheld does not
+// depend on the worker count. The map-returning forms Corpus and
+// ParallelCorpus run the same driver and drop a failed or gated file
+// from their result without saying why; only the single-file File is
+// fail-open (a panic propagates to the caller).
 
 // FileError identifies the file, line, and cause of one per-file failure.
 // It is the internal/anonymizer type re-exported.
@@ -214,71 +216,28 @@ func (a *Anonymizer) traceCensusFailure(sp *trace.Span, ferr *FileError) {
 	tr.End(fs, trace.StatusFailed)
 }
 
-// anonymizeOne runs one file through the fail-closed pipeline on the
-// given Session worker: panic recovery, then — in strict mode —
-// leak-gating of the output against the Session's accumulated sensitive
-// values.
-func (a *Anonymizer) anonymizeOne(wk *anonymizer.Anonymizer, name, text string, strict bool) (res FileResult) {
-	defer func() { a.batch.countFile(res.Status) }()
-	out, ferr := wk.SafeAnonymizeText(name, text)
-	if ferr != nil {
-		return FileResult{Name: name, Status: FileFailed, Err: ferr}
-	}
-	if strict {
-		if leaks := confirmedLeaks(wk.LeakReport(out)); len(leaks) > 0 {
-			return FileResult{Name: name, Status: FileQuarantined, Leaks: leaks}
-		}
-	}
-	return FileResult{Name: name, Status: FileOK, Text: out}
-}
-
-// CorpusContext anonymizes a set of files as one network like Corpus,
-// but fail-closed: per-file panic recovery, strict leak-gating when
-// Options.Strict is set, and cancellation via ctx. All readable files
-// are prescanned first (a file whose prescan fails is marked failed and
-// skipped), then each file is rewritten in sorted-name order. On
-// cancellation the partial CorpusResult is returned along with ctx's
-// error; files not yet started are absent from Files.
-func (a *Anonymizer) CorpusContext(ctx context.Context, files map[string]string) (*CorpusResult, error) {
-	res := &CorpusResult{Files: make(map[string]FileResult, len(files))}
+// sortedNames returns the corpus's file names in sorted order, the
+// order every batch phase walks them in.
+func sortedNames(files map[string]string) []string {
 	names := make([]string, 0, len(files))
 	for n := range files {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	sp := a.traceCorpus("corpus", len(files), 1)
-	finish := func(err error) (*CorpusResult, error) {
-		if err != nil {
-			a.batch.countCancel()
-		}
-		a.endCorpus(sp, err)
-		res.Stats = a.Stats()
-		res.finishReport(a.reg, a.prog.Packs())
-		return res, err
-	}
+	return names
+}
 
-	wk := a.sess.Acquire()
-	defer a.sess.Release(wk)
-	wk.SetCorpusSpan(spanID(sp))
-	for _, n := range names {
-		if err := ctx.Err(); err != nil {
-			return finish(err)
-		}
-		if ferr := wk.SafePrescan(n, files[n]); ferr != nil {
-			res.Files[n] = FileResult{Name: n, Status: FileFailed, Err: ferr}
-			a.batch.countFile(FileFailed)
-		}
-	}
-	for _, n := range names {
-		if err := ctx.Err(); err != nil {
-			return finish(err)
-		}
-		if _, done := res.Files[n]; done { // prescan already failed it
-			continue
-		}
-		res.Files[n] = a.anonymizeOne(wk, n, files[n], a.strict)
-	}
-	return finish(nil)
+// CorpusContext anonymizes a set of files as one network like Corpus,
+// but fail-closed: per-file panic recovery, strict leak-gating when
+// Options.Strict is set, and cancellation via ctx. It is the batch
+// pipeline at one worker (see ParallelCorpusContext): under the shaped
+// tree every file is first prescanned in sorted-name order (a file whose
+// prescan fails is marked failed and skipped); then every file is
+// rewritten, and then every file is gated. On cancellation the
+// partial CorpusResult is returned along with ctx's error; files not
+// yet started are absent from Files.
+func (a *Anonymizer) CorpusContext(ctx context.Context, files map[string]string) (*CorpusResult, error) {
+	return a.ParallelCorpusContext(ctx, files, 1)
 }
 
 // ParallelCorpusContext anonymizes a corpus across several workers with
@@ -292,6 +251,190 @@ func ParallelCorpusContext(ctx context.Context, opts Options, files map[string]s
 	return Compile(opts).NewSession().ParallelCorpusContext(ctx, files, workers)
 }
 
+// ParallelCorpusContext anonymizes a corpus across workers goroutines
+// sharing this Session, with CorpusContext's fail-closed semantics. The
+// outputs, and under Options.Strict the set of quarantined files, are
+// the same at every worker count, under both IP schemes.
+//
+// The run is the batch pipeline: the shaped tree's insertion order is
+// fixed first, the files are then rewritten on the worker pool — every
+// lookup hits the already-resolved tree, so the output does not depend
+// on scheduling — and strict leak-gating runs after all workers finish,
+// so every file is gated against the values recorded from the whole
+// corpus.
+func (a *Anonymizer) ParallelCorpusContext(ctx context.Context, files map[string]string, workers int) (*CorpusResult, error) {
+	names := sortedNames(files)
+	return a.pipeline(ctx, batchRun{
+		op:    "parallel-corpus",
+		names: names,
+		files: files,
+		job: func(wk *anonymizer.Anonymizer, i int) (string, *FileError) {
+			return wk.SafeAnonymizeText(names[i], files[names[i]])
+		},
+	}, workers)
+}
+
+// batchRun is what one batch entry point hands the pipeline: the
+// corpus, the per-file engine job, and the entry point's own
+// bookkeeping. Order fixing, the worker pool, the strict gate and the
+// outcome count belong to the pipeline.
+type batchRun struct {
+	op    string            // corpus span name
+	names []string          // the corpus's file names, sorted
+	files map[string]string // name → cleartext
+	// served maps the files the entry point answers without the engine
+	// (incremental cache hits) to their outputs. They skip phases 1 and
+	// 2 but are gated and counted like every other file.
+	served map[string]string
+	// job runs names[i] on a Session worker and returns its output or
+	// its failure. Calls for different files run concurrently.
+	job func(wk *anonymizer.Anonymizer, i int) (string, *FileError)
+	// settle, when set, receives every finished file's final (gated)
+	// result in sorted order, before the run report is taken.
+	settle func(i int, r FileResult)
+}
+
+// pipeline is the one batch driver behind CorpusContext,
+// ParallelCorpusContext and IncrementalCorpusContext:
+//
+//  1. fixOrder fixes the shaped tree's insertion order for every file
+//     the engine will touch;
+//  2. one pool of workers runs b.job on each of those files that phase
+//     1 did not fail;
+//  3. after every worker has finished, each file is gated (under
+//     Options.Strict) and counted, in sorted-name order.
+//
+// Gating once, over the finished corpus, checks each file against the
+// values recorded from every file, so which files are withheld does not
+// depend on the worker count.
+func (a *Anonymizer) pipeline(ctx context.Context, b batchRun, workers int) (*CorpusResult, error) {
+	if workers < 1 {
+		workers = 1
+	}
+	sp := a.traceCorpus(b.op, len(b.names), workers)
+	// done holds each file's outcome before gating; a file absent from
+	// it was never started (the run was cancelled first).
+	done := make(map[string]FileResult, len(b.names))
+	var engine []int
+	for i, n := range b.names {
+		if text, ok := b.served[n]; ok {
+			done[n] = FileResult{Name: n, Status: FileOK, Text: text}
+		} else {
+			engine = append(engine, i)
+		}
+	}
+
+	err := a.fixOrder(ctx, b, engine, workers, done, sp)
+
+	// Phase 2, skipped when phase 1 was cut short: the tree's order is
+	// then not fixed, so a rewrite would depend on scheduling.
+	if err == nil {
+		work := make(chan int, len(engine))
+		for _, i := range engine {
+			if _, failed := done[b.names[i]]; !failed {
+				work <- i
+			}
+		}
+		close(work)
+		results := make(chan FileResult, len(engine))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				wk := a.sess.Acquire()
+				defer a.sess.Release(wk)
+				wk.SetCorpusSpan(spanID(sp))
+				for i := range work {
+					if ctx.Err() != nil {
+						break
+					}
+					n := b.names[i]
+					if out, ferr := b.job(wk, i); ferr != nil {
+						results <- FileResult{Name: n, Status: FileFailed, Err: ferr}
+					} else {
+						results <- FileResult{Name: n, Status: FileOK, Text: out}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(results)
+		for r := range results {
+			done[r.Name] = r
+		}
+		err = ctx.Err()
+	}
+
+	// Phase 3: gate and count in sorted order, after every worker has
+	// published its recorder entries.
+	res := &CorpusResult{Files: make(map[string]FileResult, len(done))}
+	wk := a.sess.Acquire()
+	defer a.sess.Release(wk)
+	wk.SetCorpusSpan(spanID(sp))
+	for i, n := range b.names {
+		r, started := done[n]
+		if !started {
+			continue
+		}
+		if a.strict && r.Status == FileOK {
+			if leaks := confirmedLeaks(wk.LeakReport(r.Text)); len(leaks) > 0 {
+				r = FileResult{Name: n, Status: FileQuarantined, Leaks: leaks}
+			}
+		}
+		res.Files[n] = r
+		a.batch.countFile(r.Status)
+		if b.settle != nil {
+			b.settle(i, r)
+		}
+	}
+
+	if err != nil {
+		a.batch.countCancel()
+	}
+	a.endCorpus(sp, err)
+	res.Stats = a.Stats()
+	res.finishReport(a.reg, a.prog.Packs())
+	return res, err
+}
+
+// fixOrder is the pipeline's phase 1. Under the shaped tree the mapping
+// depends on the order addresses first reach the tree, so it fixes that
+// order for the engine files (engine indexes b.names) before any of
+// them is rewritten. The reference order is one worker's: every file's
+// prescan pins in sorted-name order, then every file's full rewrite
+// sequence. One worker produces that order by running it — SafePrescan
+// on the real Session here, then its own rewrites in phase 2 — so it
+// needs no census. More workers census the files in parallel and replay
+// the traces in that order (censusReplay). Under Options.StatelessIP
+// every mapping is a pure function of the salt and there is nothing to
+// fix. Files that fail are recorded in done. Returns ctx's error if the
+// phase was cut short.
+func (a *Anonymizer) fixOrder(ctx context.Context, b batchRun, engine []int, workers int, done map[string]FileResult, sp *trace.Span) error {
+	if a.prog.opts.StatelessIP || len(engine) == 0 {
+		return nil
+	}
+	names := make([]string, len(engine))
+	for j, i := range engine {
+		names[j] = b.names[i]
+	}
+	if workers > 1 {
+		return a.censusReplay(ctx, names, b.files, workers, done, sp)
+	}
+	wk := a.sess.Acquire()
+	defer a.sess.Release(wk)
+	wk.SetCorpusSpan(spanID(sp))
+	for _, n := range names {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if ferr := wk.SafePrescan(n, b.files[n]); ferr != nil {
+			done[n] = FileResult{Name: n, Status: FileFailed, Err: ferr}
+		}
+	}
+	return nil
+}
+
 // fileCensus is one file's census record: the mapper-call traces of its
 // prescan and its full rewrite, captured against a throwaway mapper.
 type fileCensus struct {
@@ -301,15 +444,14 @@ type fileCensus struct {
 
 // censusReplay runs the shaped-tree census over the named files on
 // workers goroutines and replays the recorded mapper-call traces into
-// the shared tree in the deterministic serial order (every file's
-// prescan pins in sorted-name order, then every surviving file's full
-// sequence). Files whose census failed are marked failed in res and
-// traced; their partial pin traces still replay — exactly what a
-// sequential run leaves behind before aborting. Returns ctx's error if
-// the census was cut short, in which case the replay is skipped (only
-// the failures are recorded). Shared by ParallelCorpusContext and
-// IncrementalCorpusContext; callers pass names already sorted.
-func (a *Anonymizer) censusReplay(ctx context.Context, names []string, files map[string]string, workers int, res *CorpusResult, sp *trace.Span) error {
+// the shared tree in the one-worker order (every file's prescan pins in
+// sorted-name order, then every surviving file's full sequence). Files
+// whose census failed are recorded failed in done and traced; their
+// partial pin traces still replay — exactly what a one-worker run
+// leaves behind before aborting. Returns ctx's error if the census was
+// cut short, in which case the replay is skipped (only the failures are
+// recorded). Callers pass names already sorted.
+func (a *Anonymizer) censusReplay(ctx context.Context, names []string, files map[string]string, workers int, done map[string]FileResult, sp *trace.Span) error {
 	censuses := make([]fileCensus, len(names))
 	work := make(chan int, len(names))
 	for i := range names {
@@ -332,8 +474,7 @@ func (a *Anonymizer) censusReplay(ctx context.Context, names []string, files map
 	}
 	wg.Wait()
 	markFailed := func(i int, ferr *FileError) {
-		res.Files[names[i]] = FileResult{Name: names[i], Status: FileFailed, Err: ferr}
-		a.batch.countFile(FileFailed)
+		done[names[i]] = FileResult{Name: names[i], Status: FileFailed, Err: ferr}
 		a.traceCensusFailure(sp, ferr)
 	}
 	if err := ctx.Err(); err != nil {
@@ -355,118 +496,6 @@ func (a *Anonymizer) censusReplay(ctx context.Context, names []string, files map
 		a.sess.Replay(c.full)
 	}
 	return nil
-}
-
-// ParallelCorpusContext anonymizes a corpus across workers goroutines
-// sharing this Session, with CorpusContext's fail-closed semantics. The
-// output is byte-identical to CorpusContext on the same files at every
-// worker count, under both IP schemes.
-//
-// Under the default shaped-tree scheme the mapping depends on the order
-// addresses first reach the tree, so the run is split into three phases:
-// a parallel census records each file's exact mapper-call sequence
-// against throwaway state; the traces are then replayed into the shared
-// tree serially in CorpusContext's order (every file's prescan pins in
-// sorted-name order, then every surviving file's full sequence); finally
-// the files are rewritten in parallel, where every lookup hits the
-// now-resolved tree lock-free. Under Options.StatelessIP mappings are
-// pure functions of the salt and the census is skipped entirely.
-//
-// Strict leak-gating runs after all workers finish, so a file is gated
-// against the values recorded from the whole corpus — deterministic at
-// any worker count, and at least as conservative as CorpusContext's
-// progressive gating (a file CorpusContext quarantines is always
-// quarantined here; rarely, a file it publishes is additionally caught).
-func (a *Anonymizer) ParallelCorpusContext(ctx context.Context, files map[string]string, workers int) (*CorpusResult, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	res := &CorpusResult{Files: make(map[string]FileResult, len(files))}
-	sp := a.traceCorpus("parallel-corpus", len(files), workers)
-	finish := func(err error) (*CorpusResult, error) {
-		if err != nil {
-			a.batch.countCancel()
-		}
-		a.endCorpus(sp, err)
-		res.Stats = a.Stats()
-		res.finishReport(a.reg, a.prog.Packs())
-		return res, err
-	}
-
-	if !a.prog.opts.StatelessIP {
-		// Phases 1+2: parallel census, then serial replay in
-		// CorpusContext's insertion order (censusReplay).
-		if err := a.censusReplay(ctx, names, files, workers, res, sp); err != nil {
-			return finish(err)
-		}
-	}
-
-	// Phase 3: embarrassingly parallel rewrite. Under the shaped tree
-	// every mapper call was just replayed, so lookups are lock-free cache
-	// hits and the output no longer depends on scheduling.
-	rewrite := make([]string, 0, len(names))
-	for _, n := range names {
-		if _, failed := res.Files[n]; !failed {
-			rewrite = append(rewrite, n)
-		}
-	}
-	results := make(chan FileResult, len(rewrite))
-	work := make(chan string, len(rewrite))
-	for _, n := range rewrite {
-		work <- n
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wk := a.sess.Acquire()
-			defer a.sess.Release(wk)
-			wk.SetCorpusSpan(spanID(sp))
-			for name := range work {
-				if ctx.Err() != nil {
-					break
-				}
-				out, ferr := wk.SafeAnonymizeText(name, files[name])
-				if ferr != nil {
-					results <- FileResult{Name: name, Status: FileFailed, Err: ferr}
-					continue
-				}
-				results <- FileResult{Name: name, Status: FileOK, Text: out}
-			}
-		}()
-	}
-	wg.Wait()
-	close(results)
-	for r := range results {
-		res.Files[r.Name] = r
-	}
-
-	// Gate and count in sorted order, after every worker has published
-	// its recorder entries (deterministic quarantine set; see doc).
-	wk := a.sess.Acquire()
-	defer a.sess.Release(wk)
-	wk.SetCorpusSpan(spanID(sp))
-	for _, n := range rewrite {
-		r, started := res.Files[n]
-		if !started { // cancelled before a worker picked it up
-			continue
-		}
-		if a.strict && r.Status == FileOK {
-			if leaks := confirmedLeaks(wk.LeakReport(r.Text)); len(leaks) > 0 {
-				r = FileResult{Name: n, Status: FileQuarantined, Leaks: leaks, Text: ""}
-				res.Files[n] = r
-			}
-		}
-		a.batch.countFile(r.Status)
-	}
-	return finish(ctx.Err())
 }
 
 // StreamCorpusContext anonymizes a sequence of files like StreamCorpus,

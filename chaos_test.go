@@ -123,6 +123,20 @@ func TestParallelCorpusDropsOnlyPoisonedFile(t *testing.T) {
 	}
 }
 
+// TestCorpusDropsOnlyPoisonedFile: Corpus runs the fail-closed
+// pipeline too, so a panic in one file drops that file instead of
+// crashing the caller.
+func TestCorpusDropsOnlyPoisonedFile(t *testing.T) {
+	armPoison(t, "poison", 2)
+	out := New(Options{Salt: []byte("chaos")}).Corpus(chaosCorpus())
+	if _, ok := out["poison"]; ok {
+		t.Error("poisoned file was emitted")
+	}
+	if len(out) != len(chaosCorpus())-1 {
+		t.Errorf("%d files emitted, want %d", len(out), len(chaosCorpus())-1)
+	}
+}
+
 func TestCorpusContextIsolatesPanic(t *testing.T) {
 	armPoison(t, "poison", 2)
 	a := New(Options{Salt: []byte("chaos")})

@@ -24,7 +24,9 @@ go test -race ./internal/metrics ./internal/trace ./internal/store ./internal/ru
 
 # Concurrency gauntlet: the packages whose correctness depends on the
 # Program/Session split's locking — the shaped tree's two-phase design,
-# the session worker pool and rewrite memo, the portal's per-salt
+# the batch pipeline's worker pool and sorted strict gate (the
+# TestParallelStrictGate* tests pin the same withheld set at every
+# worker count), the session rewrite memo, the portal's per-salt
 # sessions, the mapping ledger's append/commit serialization, and the
 # job queue's worker pool — run twice under the race detector so
 # scheduling varies. The chaos pass includes the restart-mid-job test:
@@ -107,14 +109,18 @@ done
 go run ./cmd/confvalidate $packargs
 
 # Short coverage-guided fuzz pass over the parsers that sit in front of
-# the anonymizer. Crashers are persisted under testdata/fuzz/ and then
-# replayed by the ordinary test step above, so a find here becomes a
-# permanent regression test.
+# the anonymizer and the decoder of the persisted incremental line cache
+# (whose target also drives an incremental run that trusts the decoded
+# cache). Crashers are persisted under testdata/fuzz/ and then replayed
+# by the ordinary test step above, so a find here becomes a permanent
+# regression test.
 if [ "${CONFANON_SKIP_FUZZ:-0}" != "1" ]; then
 	echo "== fuzz smoke: internal/config FuzzParse (10s)"
 	go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/config
 	echo "== fuzz smoke: internal/cregex FuzzParsePattern (10s)"
 	go test -run '^$' -fuzz '^FuzzParsePattern$' -fuzztime 10s ./internal/cregex
+	echo "== fuzz smoke: confanon FuzzDecodeCorpusCache (10s)"
+	go test -run '^$' -fuzz '^FuzzDecodeCorpusCache$' -fuzztime 10s .
 fi
 
 echo "== ok"

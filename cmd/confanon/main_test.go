@@ -94,6 +94,36 @@ func TestRunStrictQuarantinesExactlyLeakingFile(t *testing.T) {
 	}
 }
 
+// TestRunStrictWithholdsSameFilesAtAnyWorkerCount: -strict gates every
+// file against the whole corpus, so -workers does not change which files
+// are published. The route tag 201 in a-confg leaks only because b-confg
+// records 201 as a public ASN.
+func TestRunStrictWithholdsSameFilesAtAnyWorkerCount(t *testing.T) {
+	in := writeInput(t, map[string]string{
+		"a-confg": "hostname ra\nip route 10.0.0.0 255.0.0.0 Null0 201\n",
+		"b-confg": "hostname rb\nrouter bgp 201\n neighbor 12.1.1.1 remote-as 7018\n",
+	})
+	for _, workers := range []string{"1", "2"} {
+		out := t.TempDir()
+		code, _, stderr := runCLI(t, "-salt", "s", "-in", in, "-out", out,
+			"-strict", "-rename=false", "-workers", workers)
+		if code != exitWithheld {
+			t.Errorf("-workers %s: exit %d, want %d; stderr:\n%s", workers, code, exitWithheld, stderr)
+		}
+		ents, err := os.ReadDir(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var published []string
+		for _, e := range ents {
+			published = append(published, e.Name())
+		}
+		if len(published) != 1 || published[0] != "b-confg" {
+			t.Errorf("-workers %s published %v, want [b-confg]", workers, published)
+		}
+	}
+}
+
 func TestRunNonStrictLeakReportStillExitsOne(t *testing.T) {
 	in := writeInput(t, map[string]string{"leaky.conf": leakyConf})
 	out := t.TempDir()

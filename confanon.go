@@ -39,7 +39,6 @@ package confanon
 import (
 	"context"
 	"io"
-	"sort"
 
 	"confanon/internal/anonymizer"
 	"confanon/internal/config"
@@ -299,13 +298,12 @@ func (a *Anonymizer) Report() *RunReport {
 // ParallelCorpus anonymizes a corpus across several workers sharing one
 // Session. Under the default shaped-tree IP scheme the corpus is first
 // censused in parallel, the census replayed into the shared tree in the
-// deterministic serial order, and the files then rewritten in parallel —
-// so the output is byte-identical to a sequential Corpus run at any
-// worker count. Under Options.StatelessIP every mapping is a pure
-// function of the salt (the parallelization the paper attributes to the
-// Xu scheme: "very little state must be shared to consistently map
-// addresses, making it amenable to parallelization") and the census is
-// skipped. The per-worker statistics are merged in the returned Stats.
+// one-worker order, and the files then rewritten in parallel — so the
+// output is byte-identical to a Corpus run at any worker count. Under
+// Options.StatelessIP every mapping is a pure function of the salt (the
+// parallelization the paper attributes to the Xu scheme: "very little
+// state must be shared to consistently map addresses, making it
+// amenable to parallelization") and the census is skipped. The per-worker statistics are merged in the returned Stats.
 //
 // ParallelCorpus is the convenience form of ParallelCorpusContext: a
 // file whose processing fails (or, under Options.Strict, leaks) is
@@ -385,34 +383,20 @@ func (a *Anonymizer) StreamCorpus(
 // prescanned first so the subnet-address shaping of the IP mapping cannot
 // be broken by file ordering, then each file is rewritten. Keys are
 // preserved (file names are the caller's business; rename them if they
-// leak identity).
+// leak identity). Corpus is the convenience form of CorpusContext: a
+// file whose processing fails (or, under Options.Strict, leaks) is
+// absent from the returned map. Callers that must account for every
+// input file want CorpusContext and its CorpusResult.
 func (a *Anonymizer) Corpus(files map[string]string) map[string]string {
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	wk := a.sess.Acquire()
-	defer a.sess.Release(wk)
-	for _, n := range names {
-		wk.Prescan(files[n])
-	}
-	out := make(map[string]string, len(files))
-	for _, n := range names {
-		out[n] = wk.AnonymizeText(files[n])
-	}
-	return out
+	res, _ := a.CorpusContext(context.Background(), files)
+	return res.Outputs()
 }
 
 // Leaks scans anonymized files for sensitive values that survived,
 // supporting the iterative leak-closure methodology: review the report,
 // AddRule the dangerous tokens, re-anonymize, repeat until empty.
 func (a *Anonymizer) Leaks(files map[string]string) []Leak {
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := sortedNames(files)
 	wk := a.sess.Acquire()
 	defer a.sess.Release(wk)
 	var out []Leak

@@ -6,8 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
-	"sync"
 
 	"confanon/internal/anonymizer"
 	"confanon/internal/rulepack"
@@ -211,11 +209,10 @@ func (pl *incrPlan) needsEngine() bool {
 	return pl.mode == modeFull || (pl.mode == modePartial && pl.p < len(pl.lines))
 }
 
-// incrOut is one plan's outcome: the file result, its next-cache entry
-// (nil for failed files — a failed file is never half-cached), and the
-// line accounting for the summary.
+// incrOut is one plan's outcome: its next-cache entry and the line
+// accounting for the summary. Set only for files that finished; a
+// failed file is never half-cached.
 type incrOut struct {
-	res               FileResult
 	fc                *FileCache
 	reused, rewritten int
 }
@@ -234,46 +231,25 @@ type incrOut struct {
 // The contract: called on a Session restored from the prior run's
 // mapping state (UseStore / LoadMapping), the outputs are
 // byte-identical to ParallelCorpusContext over the same corpus on the
-// same restored Session, at every worker count. Strict leak-gating
-// re-gates every file — including cache-served ones — against the
-// corpus-wide recorder, so quarantine decisions are never stale.
-// Res.Stats covers only the reprocessed work (cache-served files spend
-// no engine time, which is the point); res.Incremental reports the
-// split.
+// same restored Session, at every worker count. The run is the same
+// batch pipeline, so strict leak-gating re-gates every file — including
+// cache-served ones — against the corpus-wide recorder, and quarantine
+// decisions are never stale. Res.Stats covers only the reprocessed work
+// (cache-served files spend no engine time, which is the point);
+// res.Incremental reports the split.
 func (a *Anonymizer) IncrementalCorpusContext(ctx context.Context, files map[string]string, prior *CorpusCache, workers int) (*CorpusResult, *CorpusCache, error) {
-	if workers < 1 {
-		workers = 1
-	}
 	saltFP := a.cacheSaltFP()
 	optsFP := a.cacheOptsFP()
 	usable := prior != nil && prior.Schema == CorpusCacheSchema &&
 		prior.SaltFP == saltFP && prior.OptsFP == optsFP
 
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	res := &CorpusResult{
-		Files:       make(map[string]FileResult, len(files)),
-		Incremental: &IncrementalSummary{CacheInvalidated: prior != nil && !usable},
-	}
+	names := sortedNames(files)
+	summary := &IncrementalSummary{CacheInvalidated: prior != nil && !usable}
 	next := &CorpusCache{
 		Schema: CorpusCacheSchema,
 		SaltFP: saltFP,
 		OptsFP: optsFP,
 		Files:  make(map[string]*FileCache, len(files)),
-	}
-	sp := a.traceCorpus("incremental-corpus", len(files), workers)
-	finish := func(err error) (*CorpusResult, *CorpusCache, error) {
-		if err != nil {
-			a.batch.countCancel()
-		}
-		a.endCorpus(sp, err)
-		res.Stats = a.Stats()
-		res.finishReport(a.reg, a.prog.Packs())
-		return res, next, err
 	}
 
 	// Classify: longest common line-hash prefix against the cache.
@@ -307,132 +283,73 @@ func (a *Anonymizer) IncrementalCorpusContext(ctx context.Context, files map[str
 		plans[i] = incrPlan{name: n, mode: mode, sum: sum, p: p, lines: lines, fc: fc}
 	}
 
-	// Census only the files the engine will touch: unchanged files
-	// contribute no new tree insertions (their addresses are already
-	// resolved in the restored state), so replaying just the changed
-	// files' traces in sorted order reproduces a full run's insertion
-	// sequence exactly.
-	var engineNames []string
-	for i := range plans {
-		if plans[i].needsEngine() {
-			engineNames = append(engineNames, plans[i].name)
-		}
-	}
-	if !a.prog.opts.StatelessIP && len(engineNames) > 0 {
-		if err := a.censusReplay(ctx, engineNames, files, workers, res, sp); err != nil {
-			return finish(err)
-		}
-	}
-
-	// Dispatch: cache-served plans are assembled inline (no engine, no
-	// worker); engine plans run on the worker pool. Each slot of outs is
-	// written by exactly one goroutine.
-	outs := make([]*incrOut, len(plans))
-	var work []int
+	// Plans with no lines to run are served from the cache and skip the
+	// pipeline's order fixing: unchanged files contribute no new tree
+	// insertions (their addresses are already resolved in the restored
+	// state), so fixing the order of just the changed files, in sorted
+	// order, reproduces a full run's insertion sequence exactly. Each
+	// slot of outs is written by exactly one goroutine.
+	outs := make([]incrOut, len(plans))
+	served := make(map[string]string)
 	for i := range plans {
 		pl := &plans[i]
-		if _, failed := res.Files[pl.name]; failed { // census already failed it
+		if pl.needsEngine() {
 			continue
 		}
-		if !pl.needsEngine() {
-			fc := pl.fc
-			if pl.mode == modePartial { // pure-prefix shrink: trim the cache, no engine work
-				fc = &FileCache{Sum: pl.sum, Lines: pl.fc.Lines[:pl.p]}
-			}
-			outs[i] = &incrOut{
-				res:    FileResult{Name: pl.name, Status: FileOK, Text: fc.text()},
-				fc:     fc,
-				reused: len(fc.Lines),
-			}
-			continue
+		fc := pl.fc
+		if pl.mode == modePartial { // pure-prefix shrink: trim the cache, no engine work
+			fc = &FileCache{Sum: pl.sum, Lines: pl.fc.Lines[:pl.p]}
 		}
-		work = append(work, i)
+		outs[i] = incrOut{fc: fc, reused: len(fc.Lines)}
+		served[pl.name] = fc.text()
 	}
-	workCh := make(chan int, len(work))
-	for _, i := range work {
-		workCh <- i
-	}
-	close(workCh)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wk := a.sess.Acquire()
-			defer a.sess.Release(wk)
-			wk.SetCorpusSpan(spanID(sp))
-			for i := range workCh {
-				if ctx.Err() != nil {
-					break
-				}
-				pl := &plans[i]
-				if pl.mode == modeFull {
-					out, recs, ferr := wk.SafeAnonymizeRecorded(pl.name, files[pl.name])
-					if ferr != nil {
-						outs[i] = &incrOut{res: FileResult{Name: pl.name, Status: FileFailed, Err: ferr}}
-						continue
-					}
-					outs[i] = &incrOut{
-						res:       FileResult{Name: pl.name, Status: FileOK, Text: out},
-						fc:        &FileCache{Sum: pl.sum, Lines: toLineCaches(recs)},
-						rewritten: len(recs),
-					}
-					continue
-				}
-				tailOuts, tailRecs, ferr := wk.SafeAnonymizeTail(pl.name, pl.lines[pl.p:], pl.p, pl.fc.stateAt(pl.p))
-				if ferr != nil {
-					outs[i] = &incrOut{res: FileResult{Name: pl.name, Status: FileFailed, Err: ferr}}
-					continue
-				}
-				lines := append(append([]LineCache(nil), pl.fc.Lines[:pl.p]...), toLineCaches(tailRecs)...)
-				outs[i] = &incrOut{
-					res:       FileResult{Name: pl.name, Status: FileOK, Text: anonymizer.JoinOutputs(append(pl.fc.prefixOutputs(pl.p), tailOuts...))},
-					fc:        &FileCache{Sum: pl.sum, Lines: lines},
-					reused:    pl.p,
-					rewritten: len(tailRecs),
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Gate and account in sorted order after every worker has published
-	// its recorder entries — the same deterministic-quarantine protocol
-	// as ParallelCorpusContext, applied to cache-served files too.
-	wk := a.sess.Acquire()
-	defer a.sess.Release(wk)
-	wk.SetCorpusSpan(spanID(sp))
-	for i := range plans {
-		o := outs[i]
-		if o == nil { // census-failed (already recorded) or cancelled before start
-			continue
-		}
+	job := func(wk *anonymizer.Anonymizer, i int) (string, *FileError) {
 		pl := &plans[i]
-		r := o.res
-		if a.strict && r.Status == FileOK {
-			if leaks := confirmedLeaks(wk.LeakReport(r.Text)); len(leaks) > 0 {
-				r = FileResult{Name: pl.name, Status: FileQuarantined, Leaks: leaks}
+		if pl.mode == modeFull {
+			out, recs, ferr := wk.SafeAnonymizeRecorded(pl.name, files[pl.name])
+			if ferr != nil {
+				return "", ferr
 			}
+			outs[i] = incrOut{fc: &FileCache{Sum: pl.sum, Lines: toLineCaches(recs)}, rewritten: len(recs)}
+			return out, nil
 		}
-		res.Files[pl.name] = r
-		a.batch.countFile(r.Status)
+		tailOuts, tailRecs, ferr := wk.SafeAnonymizeTail(pl.name, pl.lines[pl.p:], pl.p, pl.fc.stateAt(pl.p))
+		if ferr != nil {
+			return "", ferr
+		}
+		lines := append(append([]LineCache(nil), pl.fc.Lines[:pl.p]...), toLineCaches(tailRecs)...)
+		outs[i] = incrOut{fc: &FileCache{Sum: pl.sum, Lines: lines}, reused: pl.p, rewritten: len(tailRecs)}
+		return anonymizer.JoinOutputs(append(pl.fc.prefixOutputs(pl.p), tailOuts...)), nil
+	}
+	settle := func(i int, r FileResult) {
 		if r.Status == FileFailed {
-			continue // a failed file is dropped from the next cache
+			return // a failed file is dropped from the next cache
 		}
 		// Quarantined files keep their cache entry: the lines are valid,
 		// only emission was withheld.
+		pl, o := &plans[i], outs[i]
 		next.Files[pl.name] = o.fc
 		switch pl.mode {
 		case modeReuse:
-			res.Incremental.FilesReused++
+			summary.FilesReused++
 		case modePartial:
-			res.Incremental.FilesPartial++
+			summary.FilesPartial++
 		default:
-			res.Incremental.FilesFull++
+			summary.FilesFull++
 		}
-		res.Incremental.LinesReused += o.reused
-		res.Incremental.LinesRewritten += o.rewritten
+		summary.LinesReused += o.reused
+		summary.LinesRewritten += o.rewritten
 		a.batch.countIncr(modeName(pl.mode))
 	}
-	return finish(ctx.Err())
+
+	res, err := a.pipeline(ctx, batchRun{
+		op:     "incremental-corpus",
+		names:  names,
+		files:  files,
+		served: served,
+		job:    job,
+		settle: settle,
+	}, workers)
+	res.Incremental = summary
+	return res, next, err
 }

@@ -3,6 +3,7 @@ package confanon
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -290,6 +291,80 @@ func TestIncrementalStrictRegatesReusedFiles(t *testing.T) {
 	if got, want := res2.Quarantined(), res3.Quarantined(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("quarantine sets diverge: incremental %v, full %v", got, want)
 	}
+}
+
+// fuzzCacheV1 is the first generation of the corpus FuzzDecodeCorpusCache
+// runs decoded caches against; its recorded cache seeds the fuzzer.
+// fuzzCacheV2 is the corpus itself: r1 unchanged, r2 with a line
+// appended, r3 edited mid-file and r4 new, so a cache derived from the
+// seed reaches the reuse, resume and full plans.
+var fuzzCacheV1 = map[string]string{
+	"r1-confg": "hostname r1\nbanner motd ^C\nsecret text\n^C\ninterface Ethernet0\n ip address 12.1.2.3 255.255.255.0\n",
+	"r2-confg": "hostname r2\nrouter bgp 701\n neighbor 12.1.2.4 remote-as 1239\n",
+	"r3-confg": "hostname r3\nip route 12.4.0.0 255.255.0.0 Null0\ninterface Serial0\n ip address 12.9.9.9 255.255.255.252\n",
+}
+
+func fuzzCacheV2() map[string]string {
+	return map[string]string{
+		"r1-confg": fuzzCacheV1["r1-confg"],
+		"r2-confg": fuzzCacheV1["r2-confg"] + " neighbor 12.1.2.5 remote-as 7018\n",
+		"r3-confg": "hostname r3\nip route 12.5.0.0 255.255.0.0 Null0\ninterface Serial0\n ip address 12.9.9.9 255.255.255.252\n",
+		"r4-confg": "hostname r4\ninterface Ethernet0\n ip address 12.1.2.9 255.255.255.0\n",
+	}
+}
+
+// FuzzDecodeCorpusCache: the line cache is read back from disk, so any
+// bytes may reach DecodeCorpusCache. Decoding never panics; a decoded
+// cache survives an encode/decode round trip unchanged; and an
+// incremental run that trusts it (its fingerprints set to the
+// Session's) never panics and accounts for every input file, at one
+// worker and at two.
+func FuzzDecodeCorpusCache(f *testing.F) {
+	prog := Compile(Options{Salt: []byte("fuzz"), Strict: true})
+	_, rec, err := prog.NewSession().IncrementalCorpusContext(context.Background(), fuzzCacheV1, nil, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	blob, err := rec.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	files := fuzzCacheV2()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := DecodeCorpusCache(data)
+		if err != nil {
+			return
+		}
+		re, err := c.Encode()
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		c2, err := DecodeCorpusCache(re)
+		if err != nil {
+			t.Fatalf("re-encoded cache does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(c, c2) {
+			t.Fatalf("round trip changed the cache:\n%+v\n%+v", c, c2)
+		}
+		for _, workers := range []int{1, 2} {
+			a := prog.NewSession()
+			fresh := a.NewCorpusCache()
+			c.SaltFP, c.OptsFP = fresh.SaltFP, fresh.OptsFP
+			res, _, err := a.IncrementalCorpusContext(context.Background(), files, c, workers)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if res.Incremental.CacheInvalidated {
+				t.Fatalf("workers=%d: a cache carrying the session's fingerprints was not used", workers)
+			}
+			for n := range files {
+				if _, ok := res.Files[n]; !ok {
+					t.Errorf("workers=%d: no result for %s", workers, n)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkIncremental sweeps the changed-line fraction of a second-

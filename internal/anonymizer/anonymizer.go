@@ -91,20 +91,21 @@ type Anonymizer struct {
 
 	// Fault-isolation scratch: the file name and 1-based line currently
 	// being processed, recorded so a recovered panic can be pinned to a
-	// location (fault.go).
-	curFile string
-	curLine int
+	// location, and the statistics at the start of the Safe* call in
+	// flight — its rollback point, which the traced rule spans also take
+	// their per-file deltas from (fault.go).
+	curFile  string
+	curLine  int
+	fileBase Stats
 
 	// Tracing state (trace.go): the Session's tracer (nil = untraced),
 	// the batch-level corpus span this worker's file spans nest under,
-	// the open file span with its rule-counter baselines, the buffered
-	// provenance decisions of the file in flight, and the last rule that
-	// fired on the current line (ledger attribution).
+	// the open file span, the buffered provenance decisions of the file
+	// in flight, and the last rule that fired on the current line
+	// (ledger attribution).
 	tracer     *trace.Tracer
 	corpusSpan trace.SpanID
 	fileSpan   *trace.Span
-	fileHits   [maxRules]int64
-	fileTime   [maxRules]int64
 	pending    []trace.Decision
 	curRule    RuleID
 

@@ -51,15 +51,26 @@ var faultHook func(name string, line int)
 // reach it.
 func SetFaultHook(h func(name string, line int)) { faultHook = h }
 
+// beginFile opens one Safe* call on one file: it snapshots the
+// statistics into fileBase (the rollback point, and the baseline the
+// traced rule spans take their deltas from), records the fault
+// location, and opens the file span. op names the operation for the
+// trace.
+func (a *Anonymizer) beginFile(name, op string) {
+	a.fileBase = a.stats.Clone()
+	a.curFile, a.curLine = name, 0
+	a.beginFileSpan(name, op)
+}
+
 // recoverFile converts a panic into a *FileError carrying the file name
 // and the line the engine was on, and rolls the statistics back to the
-// pre-file snapshot so merged batch Stats describe only files that
+// beginFile snapshot so merged batch Stats describe only files that
 // completed. Use in a defer around per-file processing.
-func (a *Anonymizer) recoverFile(name string, snap Stats, ferr **FileError) {
+func (a *Anonymizer) recoverFile(ferr **FileError) {
 	if v := recover(); v != nil {
-		*ferr = &FileError{Name: name, Line: a.curLine, Cause: &PanicError{Value: v}}
+		*ferr = &FileError{Name: a.curFile, Line: a.curLine, Cause: &PanicError{Value: v}}
 		a.failFileSpan(*ferr)
-		a.rollback(snap)
+		a.rollback(a.fileBase)
 	}
 }
 
@@ -88,10 +99,8 @@ func (a *Anonymizer) rollback(snap Stats) {
 // leak recorder and the IP tree — it can widen later leak reports, never
 // narrow them.
 func (a *Anonymizer) SafeAnonymizeText(name, text string) (out string, ferr *FileError) {
-	snap := a.stats.Clone()
-	defer a.recoverFile(name, snap, &ferr)
-	a.curFile, a.curLine = name, 0
-	a.beginFileSpan(name, "rewrite")
+	defer a.recoverFile(&ferr)
+	a.beginFile(name, "rewrite")
 	out = a.AnonymizeText(text)
 	a.endFileSpan()
 	a.sess.commitLedger()
@@ -101,10 +110,8 @@ func (a *Anonymizer) SafeAnonymizeText(name, text string) (out string, ferr *Fil
 // SafePrescan runs Prescan with the same panic recovery as
 // SafeAnonymizeText (prescan walks attacker-controlled text too).
 func (a *Anonymizer) SafePrescan(name, text string) (ferr *FileError) {
-	snap := a.stats.Clone()
-	defer a.recoverFile(name, snap, &ferr)
-	a.curFile, a.curLine = name, 0
-	a.beginFileSpan(name, "prescan")
+	defer a.recoverFile(&ferr)
+	a.beginFile(name, "prescan")
 	a.Prescan(text)
 	a.endFileSpan()
 	a.sess.commitLedger()
@@ -117,14 +124,12 @@ func (a *Anonymizer) SafePrescan(name, text string) (ferr *FileError) {
 // channel. Either way the failed file's partial statistics are rolled
 // back: batch Stats describe only files that completed.
 func (a *Anonymizer) SafeStreamText(name string, r io.Reader, w io.Writer) (ferr *FileError) {
-	snap := a.stats.Clone()
-	defer a.recoverFile(name, snap, &ferr)
-	a.curFile, a.curLine = name, 0
-	a.beginFileSpan(name, "stream")
+	defer a.recoverFile(&ferr)
+	a.beginFile(name, "stream")
 	if err := a.StreamText(r, w); err != nil {
 		fe := &FileError{Name: name, Line: a.curLine, Cause: err}
 		a.failFileSpan(fe)
-		a.rollback(snap)
+		a.rollback(a.fileBase)
 		return fe
 	}
 	a.endFileSpan()

@@ -111,10 +111,8 @@ func (a *Anonymizer) runLinesRecorded(lines []string, startLine int, st *fileSta
 // additionally returns the per-line records an incremental re-run diffs
 // against. The output equals SafeAnonymizeText's on the same text.
 func (a *Anonymizer) SafeAnonymizeRecorded(name, text string) (out string, recs []LineRecord, ferr *FileError) {
-	snap := a.stats.Clone()
-	defer a.recoverFile(name, snap, &ferr)
-	a.curFile, a.curLine = name, 0
-	a.beginFileSpan(name, "rewrite")
+	defer a.recoverFile(&ferr)
+	a.beginFile(name, "rewrite")
 	a.Prescan(text)
 	var outs []string
 	outs, recs = a.runLinesRecorded(SplitLines(text), 0, &fileState{})
@@ -133,10 +131,9 @@ func (a *Anonymizer) SafeAnonymizeRecorded(name, text string) (out string, recs 
 // The returned outs are only the tail's contributions; the caller
 // prepends the cached prefix outputs.
 func (a *Anonymizer) SafeAnonymizeTail(name string, tail []string, startLine int, rs ResumeState) (outs []string, recs []LineRecord, ferr *FileError) {
-	snap := a.stats.Clone()
-	defer a.recoverFile(name, snap, &ferr)
-	a.curFile, a.curLine = name, startLine
-	a.beginFileSpan(name, "rewrite-tail")
+	defer a.recoverFile(&ferr)
+	a.beginFile(name, "rewrite-tail")
+	a.curLine = startLine
 	outs, recs = a.runLinesRecorded(tail, startLine, importState(rs))
 	a.endFileSpan()
 	a.sess.commitLedger()

@@ -515,8 +515,8 @@ func (s *Session) IPMapping() []ipanon.Pair { return s.mapper().Mapping() }
 // identity Trace and discards its statistics and recorder entries into a
 // throwaway session — running a file through it produces no output
 // anyone keeps, only the ordered log of mapper calls the file would
-// perform. Replaying those logs serially (Replay) reproduces the serial
-// run's insertion order exactly.
+// perform. Replaying those logs serially (Replay) reproduces a
+// one-worker run's insertion order exactly.
 func (s *Session) NewCensus() (*Anonymizer, *ipanon.Trace) {
 	tr := &ipanon.Trace{}
 	mute := s.prog.newSession(tr)
@@ -532,7 +532,7 @@ func (s *Session) Replay(tr *ipanon.Trace) { tr.Replay(s.mapper()) }
 // MapPrefix sequence, full the complete rewrite's sequence (prescan
 // included, as AnonymizeText re-runs it). When the prescan panics, pinErr
 // carries the failure and pins holds the partial sequence up to the
-// abort — which is exactly what a serial run would have inserted; full is
+// abort — which is exactly what a one-worker run would have inserted; full is
 // nil. A full-pass panic likewise truncates full at the abort point. The
 // traces touch only throwaway state, so any number of CensusFile calls
 // may run concurrently.

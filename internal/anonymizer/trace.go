@@ -23,7 +23,8 @@ import (
 // span per Safe* call, parents the retroactive stage spans under it
 // (or under the corpus span when no file is open — standalone prescans,
 // leak-report passes), and synthesizes per-rule spans under each
-// rewrite stage from the per-file rule-hit deltas.
+// rewrite stage from the rule-hit deltas against the file's rollback
+// snapshot.
 
 // Pseudo-rule ids for ledger attribution of decisions no registry rule
 // dispatches: the §4.1 basic method (segmentation + pass-list + hash)
@@ -69,19 +70,16 @@ func (a *Anonymizer) decide(class, out string) {
 	a.decideAs(rule, class, out)
 }
 
-// beginFileSpan opens the span covering one Safe* call on one file and
-// snapshots the per-rule counters, so the rewrite stage can synthesize
-// rule spans from this file's deltas alone. op names the operation
-// ("prescan", "rewrite", "stream") — in a serial corpus a file is
-// prescanned and rewritten in separate calls and gets one span per.
+// beginFileSpan opens the span covering one Safe* call on one file. op
+// names the operation ("prescan", "rewrite", "stream") — in a
+// one-worker corpus a file is prescanned and rewritten in separate calls
+// and gets one span per.
 func (a *Anonymizer) beginFileSpan(name, op string) {
 	if a.tracer == nil {
 		return
 	}
 	a.fileSpan = a.tracer.StartSpan(trace.KindFile, name, a.corpusSpan)
 	a.fileSpan.SetAttr("op", op)
-	a.fileHits = a.stats.ruleHits
-	a.fileTime = a.stats.ruleTimeNs
 }
 
 // endFileSpan closes the current file span cleanly and publishes the
@@ -136,15 +134,17 @@ func (a *Anonymizer) traceStage(stage string, d time.Duration) {
 // traceRuleSpans synthesizes one span per rule that fired during the
 // file, under the rewrite stage span: its duration is the wall time the
 // engine attributed to the rule within this file, its "hits" attribute
-// the per-file firing count.
+// the per-file firing count — both read as deltas against the file's
+// rollback snapshot (fileBase), so the rule spans of a run sum to its
+// Stats.
 func (a *Anonymizer) traceRuleSpans(parent trace.SpanID, startNs int64) {
 	reg := ruleReg.Load()
 	for i := range reg.infos {
-		hits := a.stats.ruleHits[i] - a.fileHits[i]
+		hits := a.stats.ruleHits[i] - a.fileBase.ruleHits[i]
 		if hits == 0 {
 			continue
 		}
-		dur := a.stats.ruleTimeNs[i] - a.fileTime[i]
+		dur := a.stats.ruleTimeNs[i] - a.fileBase.ruleTimeNs[i]
 		a.tracer.RecordSpan(trace.KindRule, string(reg.infos[i].ID), parent, startNs, dur, trace.StatusOK,
 			trace.Attr{Key: "hits", Value: strconv.FormatInt(hits, 10)})
 	}

@@ -111,6 +111,43 @@ func TestParallelShapedByteIdentical(t *testing.T) {
 	}
 }
 
+// TestParallelStrictGateSameAtAnyWorkerCount: strict gating runs once,
+// after every file is rewritten, so a file is gated against the values
+// recorded from the whole corpus at every worker count. Here "201" in
+// a-confg is a route tag no rule maps; it becomes a confirmed leak only
+// once b-confg (sorted after it) has recorded 201 as a public ASN. A
+// gate that checked each file right after rewriting it would publish
+// a-confg at one worker and withhold it at two.
+func TestParallelStrictGateSameAtAnyWorkerCount(t *testing.T) {
+	files := map[string]string{
+		"a-confg": "hostname ra\nip route 10.0.0.0 255.0.0.0 Null0 201\n",
+		"b-confg": "hostname rb\nrouter bgp 201\n neighbor 12.1.1.1 remote-as 7018\n",
+	}
+	opts := Options{Salt: []byte("s"), Strict: true}
+	check := func(t *testing.T, res *CorpusResult, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := res.Quarantined(); len(q) != 1 || q[0] != "a-confg" {
+			t.Errorf("quarantined = %v, want exactly [a-confg]", q)
+		}
+		if out := res.Outputs(); len(out) != 1 || out["b-confg"] == "" {
+			t.Errorf("published %d files, want only b-confg", len(out))
+		}
+	}
+	t.Run("CorpusContext", func(t *testing.T) {
+		res, err := New(opts).CorpusContext(context.Background(), files)
+		check(t, res, err)
+	})
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			res, err := ParallelCorpusContext(context.Background(), opts, files, workers)
+			check(t, res, err)
+		})
+	}
+}
+
 // TestParallelShapedSessionReuse: a warm Session (mapping already
 // populated by an earlier corpus) must stay consistent when a second
 // corpus runs through the parallel pipeline — the replayed traces land

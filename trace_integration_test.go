@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -163,6 +164,47 @@ func TestTraceSpanGraph(t *testing.T) {
 		}
 		if d.Rule == "" {
 			t.Errorf("decision with empty rule attribution: %+v", d)
+		}
+	}
+}
+
+// TestTraceRuleSpansSumToStats: the rule spans read their per-file
+// deltas from the same statistics the run reports, so for every rule
+// the rewrite stage fires, the "hits" attributes of its spans sum to
+// the run's Stats hits, at one worker and at several.
+func TestTraceRuleSpansSumToStats(t *testing.T) {
+	in := readGoldenDir(t, "testdata/golden/in")
+	for _, workers := range []int{1, 4} {
+		tr := NewTracer()
+		res, err := ParallelCorpusContext(context.Background(),
+			Options{Salt: []byte(goldenSalt), Tracer: tr}, in, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		spanHits := map[RuleID]int64{}
+		for _, s := range tr.Spans() {
+			if s.Kind != "rule" {
+				continue
+			}
+			n, err := strconv.ParseInt(s.Attr("hits"), 10, 64)
+			if err != nil || n <= 0 {
+				t.Fatalf("workers=%d: rule span %q hits = %q", workers, s.Name, s.Attr("hits"))
+			}
+			spanHits[RuleID(s.Name)] += n
+		}
+		if len(spanHits) == 0 {
+			t.Fatalf("workers=%d: no rule spans", workers)
+		}
+		statHits := res.Stats.RuleHits()
+		for id, n := range spanHits {
+			if statHits[id] != n {
+				t.Errorf("workers=%d: rule %s: spans sum to %d hits, Stats has %d", workers, id, n, statHits[id])
+			}
+		}
+		for id, n := range statHits {
+			if _, ok := spanHits[id]; !ok {
+				t.Errorf("workers=%d: rule %s has %d Stats hits but no rule span", workers, id, n)
+			}
 		}
 	}
 }
