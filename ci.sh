@@ -109,9 +109,9 @@ done
 go run ./cmd/confvalidate $packargs
 
 # Short coverage-guided fuzz pass over the parsers that sit in front of
-# the anonymizer and the decoder of the persisted incremental line cache
-# (whose target also drives an incremental run that trusts the decoded
-# cache). Crashers are persisted under testdata/fuzz/ and then replayed
+# the anonymizer, the tokenizer's reuse of dirty scratch slices, and the
+# decoder of the persisted incremental line cache (whose target also
+# drives an incremental run that trusts the decoded cache). Crashers are persisted under testdata/fuzz/ and then replayed
 # by the ordinary test step above, so a find here becomes a permanent
 # regression test.
 if [ "${CONFANON_SKIP_FUZZ:-0}" != "1" ]; then
@@ -119,6 +119,8 @@ if [ "${CONFANON_SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/config
 	echo "== fuzz smoke: internal/cregex FuzzParsePattern (10s)"
 	go test -run '^$' -fuzz '^FuzzParsePattern$' -fuzztime 10s ./internal/cregex
+	echo "== fuzz smoke: internal/token FuzzFields (10s)"
+	go test -run '^$' -fuzz '^FuzzFields$' -fuzztime 10s ./internal/token
 	echo "== fuzz smoke: confanon FuzzDecodeCorpusCache (10s)"
 	go test -run '^$' -fuzz '^FuzzDecodeCorpusCache$' -fuzztime 10s .
 fi

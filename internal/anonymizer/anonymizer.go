@@ -8,6 +8,7 @@ import (
 	"confanon/internal/ipanon"
 	"confanon/internal/passlist"
 	"confanon/internal/rulepack"
+	"confanon/internal/token"
 	"confanon/internal/trace"
 )
 
@@ -81,6 +82,17 @@ type Anonymizer struct {
 	// for wall-time attribution) and the reusable dispatch context.
 	lineHits []int
 	ctx      lineCtx
+
+	// Hot-path scratch, reused line after line so the warm per-line path
+	// does not allocate for slices: the tokenizer's words and gaps (also
+	// lineCtx.words/gaps), the generic pass's punctuation split, the
+	// basic method's word segments, and the rejoined output line. Each
+	// grows to the longest line seen and no further. Nothing may keep a
+	// slice of them past the line it was filled for.
+	words, gaps          []string
+	leads, cores, trails []string
+	segs                 []token.Segment
+	lineBuf              []byte
 
 	// bytesIn/bytesOut accumulate streaming throughput until the next
 	// flush moves them into a wired registry's book (not part of Stats:
@@ -220,9 +232,3 @@ func (a *Anonymizer) AnonymizeText(text string) string {
 }
 
 func (a *Anonymizer) stripComments() bool { return !a.opts.KeepComments }
-
-// countWords adds a raw line's words to the total (used for banner bodies,
-// which bypass the normal Fields accounting).
-func (a *Anonymizer) countWords(line string) {
-	a.stats.WordsTotal += int64(len(strings.Fields(line)))
-}

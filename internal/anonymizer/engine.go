@@ -3,6 +3,7 @@ package anonymizer
 import (
 	"strings"
 	"time"
+	"unicode"
 
 	"confanon/internal/token"
 	"confanon/internal/trace"
@@ -94,17 +95,21 @@ func (a *Anonymizer) processLine(line string, st *fileState) (string, bool) {
 			st.inBanner = false
 			return string(st.bannerDelim), true
 		}
+		// Banner bodies bypass Fields, so they count words like
+		// strings.Fields does.
+		n := int64(fieldCount(line))
 		a.hit(RuleBanner)
 		a.stats.CommentLinesRemoved++
-		a.stats.CommentWordsRemoved += int64(len(strings.Fields(line)))
-		a.countWords(line)
+		a.stats.CommentWordsRemoved += n
+		a.stats.WordsTotal += n
 		if a.stripComments() {
 			return "", false
 		}
 		return line, true
 	}
 
-	words, gaps := token.Fields(line)
+	a.words, a.gaps = token.AppendFields(a.words[:0], a.gaps[:0], line)
+	words, gaps := a.words, a.gaps
 	a.stats.WordsTotal += int64(len(words))
 
 	// JunOS comment syntax ("# ...", "/* ... */") is stripped like IOS
@@ -134,7 +139,24 @@ func (a *Anonymizer) processLine(line string, st *fileState) (string, bool) {
 	// Generic word-level pass (IP addresses, prefixes, communities,
 	// pass-list hashing) over whatever no line rule consumed.
 	a.genericWords(words, st)
-	return token.Join(words, gaps), true
+	a.lineBuf = token.AppendJoin(a.lineBuf[:0], words, gaps)
+	if string(a.lineBuf) == line {
+		return line, true // nothing changed: no copy of the line
+	}
+	return string(a.lineBuf), true
+}
+
+// fieldCount is len(strings.Fields(s)) without building the slice.
+func fieldCount(s string) int {
+	n, inField := 0, false
+	for _, r := range s {
+		space := unicode.IsSpace(r)
+		if !space && !inField {
+			n++
+		}
+		inField = !space
+	}
+	return n
 }
 
 func blockOf(words []string) string {

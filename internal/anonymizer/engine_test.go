@@ -218,3 +218,16 @@ func TestJunosMessageQuirkPreserved(t *testing.T) {
 		t.Errorf("banner rule not hit: %+v", a.Stats().RuleHits())
 	}
 }
+
+// TestFieldCountMatchesStringsFields pins the banner path's allocation-
+// free word count to strings.Fields, whose count it replaced.
+func TestFieldCountMatchesStringsFields(t *testing.T) {
+	for _, s := range []string{
+		"", " ", "a", " a  b\tc ", "\r\n\v\f", "x y\u0085z", "\xff \xfe", "é è ê",
+		"^C", "  Unauthorized access prohibited  ",
+	} {
+		if got, want := fieldCount(s), len(strings.Fields(s)); got != want {
+			t.Errorf("fieldCount(%q) = %d, strings.Fields gives %d", s, got, want)
+		}
+	}
+}

@@ -65,9 +65,12 @@ func (a *Anonymizer) LeakReport(post string) []Leak {
 	s := a.sess
 	s.recMu.RLock()
 	var leaks []Leak
-	for i, line := range strings.Split(post, "\n") {
+	for i := 0; len(post) > 0; i++ {
+		var line string
+		line, post, _ = strings.Cut(post, "\n")
 		start := time.Now()
-		words, _ := token.Fields(line)
+		a.words, a.gaps = token.AppendFields(a.words[:0], a.gaps[:0], line)
+		words := a.words
 		for wi, w := range words {
 			switch {
 			case s.seenASNs[w]:

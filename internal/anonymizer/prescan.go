@@ -37,8 +37,11 @@ func (a *Anonymizer) Prescan(text string) {
 		pins = append(pins, pin{net, length})
 	}
 	block := ""
-	for _, line := range strings.Split(text, "\n") {
-		words, gaps := token.Fields(line)
+	for len(text) > 0 {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
+		a.words, a.gaps = token.AppendFields(a.words[:0], a.gaps[:0], line)
+		words, gaps := a.words, a.gaps
 		if len(words) == 0 {
 			continue
 		}

@@ -89,22 +89,17 @@ var AllRules = []RuleID{
 // map to equal outputs, which is what maintains referential integrity
 // across every use of a hashed identifier.
 func hashWord(salt []byte, w string) string {
-	h := sha1.New()
-	h.Write(salt)
-	h.Write([]byte{0}) // domain separation from other salted uses
-	h.Write([]byte(w))
-	sum := h.Sum(nil)
-	return "x" + hex.EncodeToString(sum[:6])
+	sum := saltedSum(salt, 0, w) // domain 0: separation from other salted uses
+	var out [13]byte
+	out[0] = 'x'
+	hex.Encode(out[1:], sum[:6])
+	return string(out[:])
 }
 
 // hashDigits maps a digit string (a phone number) to another digit string
 // of the same length, so dialer strings remain syntactically valid.
 func hashDigits(salt []byte, w string) string {
-	h := sha1.New()
-	h.Write(salt)
-	h.Write([]byte{1})
-	h.Write([]byte(w))
-	sum := h.Sum(nil)
+	sum := saltedSum(salt, 1, w)
 	out := make([]byte, len(w))
 	for i := range out {
 		out[i] = '0' + sum[i%len(sum)]%10
@@ -116,14 +111,18 @@ func hashDigits(salt []byte, w string) string {
 // length (the MAC token action, pack.go). Domain-separated from the
 // word and digit hashes.
 func hashDigitsHex(salt []byte, w string) []byte {
-	h := sha1.New()
-	h.Write(salt)
-	h.Write([]byte{2})
-	h.Write([]byte(w))
-	sum := h.Sum(nil)
+	sum := saltedSum(salt, 2, w)
 	out := make([]byte, len(w))
 	for i := range out {
 		out[i] = hexDigit(sum[i%len(sum)] & 0x0F)
 	}
 	return out
+}
+
+// saltedSum is SHA-1(salt || domain || w), the digest behind every salted
+// hash. The message is assembled in a stack buffer, so hashing a token
+// that fits allocates nothing.
+func saltedSum(salt []byte, domain byte, w string) [sha1.Size]byte {
+	var buf [128]byte
+	return sha1.Sum(append(append(append(buf[:0], salt...), domain), w...))
 }

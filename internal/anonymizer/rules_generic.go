@@ -1,6 +1,7 @@
 package anonymizer
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -19,17 +20,23 @@ import (
 //
 // Words are stripped of structural punctuation first (JunOS attaches
 // semicolons, brackets, and quotes to values: "address 12.0.0.1/30;"),
-// processed on their cores, and reassembled.
+// processed on their cores, and reassembled. The lead/core/trail slices
+// are the worker's scratch; a word whose core came back unchanged is
+// left as it was rather than rebuilt.
 func (a *Anonymizer) genericWords(words []string, st *fileState) {
-	leads := make([]string, len(words))
-	trails := make([]string, len(words))
-	cores := make([]string, len(words))
+	n := len(words)
+	a.leads = slices.Grow(a.leads[:0], n)[:n]
+	a.cores = slices.Grow(a.cores[:0], n)[:n]
+	a.trails = slices.Grow(a.trails[:0], n)[:n]
+	leads, cores, trails := a.leads, a.cores, a.trails
 	for i, w := range words {
 		leads[i], cores[i], trails[i] = token.TrimPunct(w)
 	}
 	a.genericCores(cores, st)
-	for i := range words {
-		words[i] = leads[i] + cores[i] + trails[i]
+	for i, w := range words {
+		if cores[i] != w[len(leads[i]):len(w)-len(trails[i])] {
+			words[i] = leads[i] + cores[i] + trails[i]
+		}
 	}
 }
 
@@ -106,7 +113,9 @@ func (a *Anonymizer) genericCores(words []string, st *fileState) {
 			if mapped != net {
 				a.seenIPs[net] = true
 			}
-			words[i] = token.FormatIPv4(mapped) + "/" + strconv.Itoa(length)
+			var buf [18]byte
+			out := append(token.AppendIPv4(buf[:0], mapped), '/')
+			words[i] = string(strconv.AppendInt(out, int64(length), 10))
 			if a.tracer != nil {
 				a.decide(trace.ClassIP, words[i])
 			}
@@ -179,7 +188,8 @@ func (a *Anonymizer) hashIfPrivileged(w string) string {
 		}
 		return w
 	}
-	segs := token.SplitWord(w)
+	a.segs = token.AppendSegments(a.segs[:0], w)
+	segs := a.segs
 	if len(segs) > 1 {
 		a.hit(RuleSegmentAlpha)
 		hasWords := 0
@@ -192,21 +202,18 @@ func (a *Anonymizer) hashIfPrivileged(w string) string {
 			a.hit(RuleSegmentWords)
 		}
 	}
-	var b strings.Builder
 	changed := false
-	for _, s := range segs {
+	for i, s := range segs {
 		if s.Kind != token.Word {
-			b.WriteString(s.Text)
 			continue
 		}
 		if a.pass.Contains(s.Text) {
 			a.stats.TokensPassed++
-			b.WriteString(s.Text)
 			continue
 		}
 		a.stats.TokensHashed++
 		a.seenWords[s.Text] = true
-		b.WriteString(hashWord(a.opts.Salt, s.Text))
+		segs[i].Text = hashWord(a.opts.Salt, s.Text)
 		changed = true
 	}
 	if !changed {
@@ -215,11 +222,28 @@ func (a *Anonymizer) hashIfPrivileged(w string) string {
 		}
 		return w
 	}
-	res := b.String()
+	res := joinSegments(segs)
 	if a.tracer != nil {
 		a.decideAs(pseudoRuleBasic, trace.ClassHashed, res)
 	}
 	return res
+}
+
+// joinSegments concatenates segment texts into one string, sized once.
+func joinSegments(segs []token.Segment) string {
+	if len(segs) == 1 {
+		return segs[0].Text
+	}
+	n := 0
+	for _, s := range segs {
+		n += len(s.Text)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, s := range segs {
+		b.WriteString(s.Text)
+	}
+	return b.String()
 }
 
 // forceHash hashes a whole token regardless of the pass-list; used where
@@ -238,17 +262,15 @@ func (a *Anonymizer) forceHash(w string) string {
 // hashAllSegments hashes every alphabetic segment of a word, keeping the
 // punctuation skeleton (dots of a hostname), ignoring the pass-list.
 func (a *Anonymizer) hashAllSegments(w string) string {
-	var b strings.Builder
-	for _, s := range token.SplitWord(w) {
+	a.segs = token.AppendSegments(a.segs[:0], w)
+	for i, s := range a.segs {
 		if s.Kind == token.Word {
 			a.stats.TokensHashed++
 			a.seenWords[s.Text] = true
-			b.WriteString(hashWord(a.opts.Salt, s.Text))
-		} else {
-			b.WriteString(s.Text)
+			a.segs[i].Text = hashWord(a.opts.Salt, s.Text)
 		}
 	}
-	res := b.String()
+	res := joinSegments(a.segs)
 	if a.tracer != nil {
 		a.decide(trace.ClassHashed, res)
 	}

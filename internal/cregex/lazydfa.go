@@ -1,7 +1,7 @@
 package cregex
 
 import (
-	"sort"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -98,33 +98,71 @@ func (re *Regexp) dfa() *lazyDFA {
 
 // languageDFA enumerates the accepted universe values using the lazy DFA.
 // It walks the digit trie of valid decimal spellings (no leading zeros)
-// so shared prefixes are expanded once.
+// so shared prefixes are expanded once. The walk visits values in trie
+// order, not numeric order, so accepted values are marked in a
+// Universe-bit set (8 KiB) and read back in increasing order.
 func (re *Regexp) languageDFA() []uint32 {
 	d := re.dfa()
-	var out []uint32
-	if n := d.step(d.start, '0'); n != nil && n.accept {
-		out = append(out, 0)
-	}
-	var walk func(n *dnode, val uint32)
-	walk = func(n *dnode, val uint32) {
-		if n.accept {
-			out = append(out, val)
-		}
-		for c := byte('0'); c <= '9'; c++ {
-			v := val*10 + uint32(c-'0')
-			if v >= Universe {
-				break
-			}
-			if next := d.step(n, c); next != nil {
-				walk(next, v)
-			}
-		}
+	var set valueSet
+	if s := d.step(d.start, '0'); s != nil && s.accept {
+		set.add(0)
 	}
 	for c := byte('1'); c <= '9'; c++ {
-		if n := d.step(d.start, c); n != nil {
-			walk(n, uint32(c-'0'))
+		if s := d.step(d.start, c); s != nil {
+			d.walk(s, uint32(c-'0'), &set)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return set.values()
+}
+
+// walk marks every accepted value whose decimal spelling extends the
+// prefix that led to s (spelling val).
+func (d *lazyDFA) walk(s *dnode, val uint32, set *valueSet) {
+	if s.accept {
+		set.add(val)
+	}
+	for c := byte('0'); c <= '9'; c++ {
+		v := val*10 + uint32(c-'0')
+		if v >= Universe {
+			break
+		}
+		if next := d.step(s, c); next != nil {
+			d.walk(next, v, set)
+		}
+	}
+}
+
+// valueSet is a set of universe values, one bit each. n counts members
+// and lo/hi bound the words that hold any, so reading back a small
+// language scans only its own range.
+type valueSet struct {
+	bits   [Universe / 64]uint64
+	n      int
+	lo, hi int
+}
+
+func (vs *valueSet) add(v uint32) {
+	w := int(v / 64)
+	if vs.n == 0 || w < vs.lo {
+		vs.lo = w
+	}
+	if vs.n == 0 || w > vs.hi {
+		vs.hi = w
+	}
+	vs.bits[w] |= 1 << (v % 64)
+	vs.n++
+}
+
+// values returns the members in increasing order (nil when empty).
+func (vs *valueSet) values() []uint32 {
+	if vs.n == 0 {
+		return nil
+	}
+	out := make([]uint32, 0, vs.n)
+	for w := vs.lo; w <= vs.hi; w++ {
+		for word := vs.bits[w]; word != 0; word &= word - 1 {
+			out = append(out, uint32(w*64+bits.TrailingZeros64(word)))
+		}
+	}
 	return out
 }

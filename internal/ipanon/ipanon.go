@@ -468,19 +468,22 @@ func NewCryptoPAn(key [32]byte) (*CryptoPAn, error) {
 
 // MapV4 maps ip prefix-preservingly: output bit i is input bit i XOR the
 // most significant bit of AES(pad with the first i input bits substituted).
+// Only the first word of the cipher input changes between rounds, and the
+// input and output blocks share one buffer: block is an interface, so
+// whatever Encrypt sees escapes to the heap, and one allocation per call
+// replaces two per round.
 func (c *CryptoPAn) MapV4(ip uint32) uint32 {
+	buf := make([]byte, 2*aes.BlockSize)
+	in, enc := buf[:aes.BlockSize], buf[aes.BlockSize:]
+	copy(in, c.pad[:])
+	padWord := binary.BigEndian.Uint32(c.pad[:4])
 	var out uint32
-	var in [16]byte
 	for i := 0; i < 32; i++ {
-		copy(in[:], c.pad[:])
 		if i > 0 {
-			prefix := ip >> (32 - uint(i)) << (32 - uint(i))
-			padWord := binary.BigEndian.Uint32(c.pad[:4])
-			var mask uint32 = ^uint32(0) << (32 - uint(i))
-			binary.BigEndian.PutUint32(in[:4], prefix|padWord&^mask)
+			mask := ^uint32(0) << (32 - uint(i))
+			binary.BigEndian.PutUint32(in[:4], ip&mask|padWord&^mask)
 		}
-		var enc [16]byte
-		c.block.Encrypt(enc[:], in[:])
+		c.block.Encrypt(enc, in)
 		flip := uint32(enc[0] >> 7)
 		bit := ip >> (31 - uint(i)) & 1
 		out = out<<1 | (bit ^ flip)

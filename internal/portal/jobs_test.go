@@ -66,6 +66,23 @@ func pollJob(t *testing.T, url, id, token string) jobView {
 	return jobView{}
 }
 
+// waitUntilDequeued polls until the job has left the queued state.
+func waitUntilDequeued(t *testing.T, url, id, token string) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for time.Now().Before(deadline) {
+		code, v := getJob(t, url, id, token)
+		if code != http.StatusOK {
+			t.Fatalf("GET /jobs/%s: status %d", id, code)
+		}
+		if jobs.State(v.State) != jobs.StateQueued {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("job %s never left the queue", id)
+}
+
 func jobTestCorpus(tag string) map[string]string {
 	files := make(map[string]string)
 	for i := 1; i <= 3; i++ {
@@ -345,6 +362,11 @@ func TestGracefulDrainLosesNoCommittedWork(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
+	// Drain only once a worker has picked the job up: Drain waits for
+	// running jobs but leaves still-queued ones persisted for the next
+	// process, so a drain that beat the dequeue would rightly leave the
+	// job queued, and the "must be done" check below would be wrong.
+	waitUntilDequeued(t, srv.URL, sub.JobID, sub.JobToken)
 	store.BeginDrain()
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()

@@ -80,18 +80,16 @@ type Segment struct {
 	Kind Kind
 }
 
-// SplitWord implements the paper's two segmentation rules.
+// AppendSegments implements the paper's two segmentation rules,
+// appending the segments of w to dst (a caller that reuses one slice
+// across words segments without allocating).
 //
 // Rule S1 splits a word into maximal runs of alphabetic and non-alphabetic
 // characters ("Ethernet0/0" -> "Ethernet", "0/0"). Rule S2 further splits
 // alphabetic runs joined by single separators (dots and dashes) so that
 // compound identifiers such as "cr1.sfo-serial3/0.8" yield each embedded
 // word ("cr", "sfo", "serial") for individual pass-list consultation.
-func SplitWord(w string) []Segment {
-	if w == "" {
-		return nil
-	}
-	var segs []Segment
+func AppendSegments(dst []Segment, w string) []Segment {
 	i := 0
 	for i < len(w) {
 		j := i
@@ -99,21 +97,21 @@ func SplitWord(w string) []Segment {
 			for j < len(w) && isAlpha(w[j]) {
 				j++
 			}
-			segs = append(segs, Segment{Text: w[i:j], Kind: Word})
+			dst = append(dst, Segment{Text: w[i:j], Kind: Word})
 		} else if isDigit(w[i]) {
 			for j < len(w) && isDigit(w[j]) {
 				j++
 			}
-			segs = append(segs, Segment{Text: w[i:j], Kind: Integer})
+			dst = append(dst, Segment{Text: w[i:j], Kind: Integer})
 		} else {
 			for j < len(w) && !isAlpha(w[j]) && !isDigit(w[j]) {
 				j++
 			}
-			segs = append(segs, Segment{Text: w[i:j], Kind: Punct})
+			dst = append(dst, Segment{Text: w[i:j], Kind: Punct})
 		}
 		i = j
 	}
-	return segs
+	return dst
 }
 
 // Fields splits a configuration line into whitespace-separated words,
@@ -122,6 +120,14 @@ func SplitWord(w string) []Segment {
 // the Gaps slice: line == Gaps[0] + Words[0] + Gaps[1] + Words[1] + ... +
 // Gaps[n].
 func Fields(line string) (words []string, gaps []string) {
+	return AppendFields(nil, nil, line)
+}
+
+// AppendFields is Fields appending line's words to words and its gaps to
+// gaps. A caller that passes the previous line's slices truncated to
+// length zero tokenizes without allocating once they have grown to fit
+// its longest line.
+func AppendFields(words, gaps []string, line string) ([]string, []string) {
 	i := 0
 	for {
 		j := i
@@ -145,16 +151,20 @@ func Fields(line string) (words []string, gaps []string) {
 // modified words. len(gaps) must be len(words)+1. Words replaced by the
 // empty string are dropped together with the gap that preceded them.
 func Join(words, gaps []string) string {
-	var b strings.Builder
+	var buf [256]byte // most config lines fit: one allocation, the result
+	return string(AppendJoin(buf[:0], words, gaps))
+}
+
+// AppendJoin is Join appending the reassembled line to dst.
+func AppendJoin(dst []byte, words, gaps []string) []byte {
 	for i, w := range words {
 		if w == "" {
 			continue
 		}
-		b.WriteString(gaps[i])
-		b.WriteString(w)
+		dst = append(dst, gaps[i]...)
+		dst = append(dst, w...)
 	}
-	b.WriteString(gaps[len(gaps)-1])
-	return b.String()
+	return append(dst, gaps[len(gaps)-1]...)
 }
 
 // Classify determines the syntactic class of a whole (unsegmented) word.
@@ -395,25 +405,25 @@ func isAllPunct(w string) bool {
 // FormatIPv4 renders a 32-bit value as a dotted quad.
 func FormatIPv4(v uint32) string {
 	var b [15]byte
-	n := 0
+	return string(AppendIPv4(b[:0], v))
+}
+
+// AppendIPv4 appends the dotted quad of v to dst.
+func AppendIPv4(dst []byte, v uint32) []byte {
 	for i := 3; i >= 0; i-- {
-		oct := int(v >> (8 * uint(i)) & 0xFF)
+		oct := byte(v >> (8 * uint(i)))
 		if oct >= 100 {
-			b[n] = byte('0' + oct/100)
-			n++
+			dst = append(dst, '0'+oct/100)
 		}
 		if oct >= 10 {
-			b[n] = byte('0' + oct/10%10)
-			n++
+			dst = append(dst, '0'+oct/10%10)
 		}
-		b[n] = byte('0' + oct%10)
-		n++
+		dst = append(dst, '0'+oct%10)
 		if i > 0 {
-			b[n] = '.'
-			n++
+			dst = append(dst, '.')
 		}
 	}
-	return string(b[:n])
+	return dst
 }
 
 // TrimPunct splits a word into leading punctuation, a core token, and

@@ -24,13 +24,13 @@ func TestSplitWord(t *testing.T) {
 		{"!!", []Segment{{"!!", Punct}}},
 	}
 	for _, c := range cases {
-		got := SplitWord(c.in)
+		got := AppendSegments(nil, c.in)
 		if len(got) != len(c.want) {
-			t.Fatalf("SplitWord(%q) = %v, want %v", c.in, got, c.want)
+			t.Fatalf("AppendSegments(%q) = %v, want %v", c.in, got, c.want)
 		}
 		for i := range got {
 			if got[i] != c.want[i] {
-				t.Errorf("SplitWord(%q)[%d] = %v, want %v", c.in, i, got[i], c.want[i])
+				t.Errorf("AppendSegments(%q)[%d] = %v, want %v", c.in, i, got[i], c.want[i])
 			}
 		}
 	}
@@ -40,7 +40,7 @@ func TestSplitWordReassembles(t *testing.T) {
 	// Property: concatenating the segments always reproduces the word.
 	f := func(w string) bool {
 		var b strings.Builder
-		for _, s := range SplitWord(w) {
+		for _, s := range AppendSegments(nil, w) {
 			b.WriteString(s.Text)
 		}
 		return b.String() == w
